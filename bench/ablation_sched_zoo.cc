@@ -21,7 +21,7 @@
 //
 // Usage: ablation_sched_zoo [--cores=16] [--fit-ws=32768]
 //                           [--spill-ws=262144] [--share=0.25] [--seed=7]
-//                           [--csv=path] [--jobs=N] [--sim-threads=N]
+//                           [--csv=path] [--jobs=N]
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 7));
   const std::string csv = args.get("csv", "");
   const int workers = static_cast<int>(args.get_int("jobs", 0));
-  const int sim_threads = static_cast<int>(args.get_int("sim-threads", 0));
   // Every flag has been queried; fail on typos before the long run.
   if (const int rc = args.check_unused()) return rc;
 
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
   }
   SweepOptions opt;
   opt.workers = workers;
-  opt.sim_threads = sim_threads;
   const SweepResults res = run_sweep(std::move(matrix), opt);
 
   Table t({"scale", "family", "sched", "cycles", "mpki", "vs_pdf",

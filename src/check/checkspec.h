@@ -4,13 +4,12 @@
 // The simulator's correctness story so far is byte-identity against
 // recorded golden fixtures, which cannot catch a bug that predates the
 // recording. The check subsystem adds machine-checked invariants: the
-// engines are instrumented with hooks that, when armed, maintain a naive
+// engine is instrumented with hooks that, when armed, maintain a naive
 // shadow model of the caches and the scheduler contract and audit the
 // real (SWAR-packed) state against it at a configurable sampling period.
-// Disarmed — the default — the hooks compile to nothing in the serial
-// engine (the run loop is templated on a no-op checker) and to one
-// untaken branch per commit in the parallel engine, so the hot paths
-// gated by the perf suite are unaffected.
+// Disarmed — the default — the hooks compile to nothing (the run loop is
+// templated on a no-op checker), so the hot paths gated by the perf suite
+// are unaffected.
 //
 // Arming uses the repo's strict spec-string grammar (genspec/schedspec/
 // faultspec family), via --check= or $CACHESCHED_CHECK:
@@ -35,9 +34,9 @@
 //                             and compared op-by-op against the batched
 //                             engine expander
 //   period=N  audit every Nth memory reference (default 1024; 1 =
-//             lockstep, every reference audited — what --verify=shadow
-//             arms). Shadow *maintenance* is per-reference regardless;
-//             period bounds only the O(capacity) full-state audits.
+//             lockstep, every reference audited). Shadow *maintenance*
+//             is per-reference regardless; period bounds only the
+//             O(capacity) full-state audits.
 //
 // Unknown checkers, duplicate items, and malformed periods throw
 // std::invalid_argument ("bad check spec \"...\": ...") — never silently
@@ -80,9 +79,9 @@ struct CheckSpec {
 
 /// The process-default check spec: $CACHESCHED_CHECK parsed once (so
 /// existing binaries — the golden fixture suite in particular — can be
-/// run fully checked wholesale, the way $CACHESCHED_SIM_THREADS runs them
-/// threaded). Unset or empty = nothing armed. A malformed value throws
-/// std::invalid_argument from the first simulator construction.
+/// run fully checked wholesale). Unset or empty = nothing armed. A
+/// malformed value throws std::invalid_argument from the first simulator
+/// construction.
 const CheckSpec& default_check_spec();
 
 }  // namespace check

@@ -1,8 +1,8 @@
 // Runtime invariant checkers (DESIGN: src/check/; grammar in checkspec.h).
 //
 // The Checker maintains an obviously-correct shadow model beside the real
-// engine state and cross-checks the two through hooks the engines call on
-// their commit paths:
+// engine state and cross-checks the two through hooks the engine calls on
+// every reference, invalidation, dispatch and completion:
 //
 //  * a naive ShadowCache per private L1 and for the shared L2 (per-set
 //    MRU-first vectors — true LRU by construction, no SWAR, no packing),
@@ -11,7 +11,7 @@
 //    op-by-op; every `period` references a full-state audit additionally
 //    decodes the SWAR fingerprint/order rows of the real caches and
 //    compares contents, LRU order and valid counts set-by-set.
-//  * single-writer coherence: a committed write must invalidate exactly
+//  * single-writer coherence: a write must invalidate exactly
 //    the L1 copies the presence mask names — the expected set is computed
 //    from the shadow before the write and each on_inval must consume one
 //    entry; a leftover at the next hook is a dropped invalidation.
@@ -25,16 +25,9 @@
 // Violations throw CheckViolation, which the CLI turns into a crash
 // reproducer file and exit code kExitVerifyFailed (4).
 //
-// Engine cost: the serial engine's run loop is templated on the checker
-// type — the disarmed instantiation uses NoCheck and the hooks compile
-// away entirely. The parallel engine's commit path guards each hook with
-// one `if (chk != nullptr)` branch, untaken when disarmed. In the
-// parallel engine the live L1s run *ahead* of the commit point
-// (speculation), so the audit compares the shadow L1s against the
-// committed-state hooks and the L2 (committer-owned, exact) against both
-// shadow and SWAR decode; per-fill victim agreement still verifies L1
-// LRU behaviour exactly. `--verify=serial` covers the rest
-// differentially (check/verify.h).
+// Engine cost: the engine's run loop is templated on the checker type —
+// the disarmed instantiation uses NoCheck and the hooks compile away
+// entirely.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +46,7 @@ namespace cachesched {
 namespace check {
 
 /// An invariant violation. `op_index` is the number of memory references
-/// the checker had committed when the violation fired — the coordinate a
+/// the checker had seen when the violation fired — the coordinate a
 /// crash reproducer records.
 class CheckViolation : public std::runtime_error {
  public:
@@ -175,7 +168,7 @@ struct CheckStats {
   uint64_t spot_checks = 0;  // trace re-expansion spot-checks
 };
 
-/// The disarmed checker: the serial engine instantiates its run loop with
+/// The disarmed checker: the engine instantiates its run loop with
 /// this type and every hook call sits under `if constexpr (CK::kArmed)`,
 /// so the disarmed hot path carries no code at all.
 struct NoCheck {
@@ -189,10 +182,9 @@ class Checker {
   explicit Checker(const CheckSpec& spec) : spec_(spec) {}
 
   /// Binds the checker to one run. `l1_live`/`l2_live` are the engine's
-  /// real caches for audit-time SWAR decode; `l1_live` is nullptr in the
-  /// parallel engine, whose live L1s are speculatively ahead of the
-  /// commit point (see file comment). `dag` may be nullptr when neither
-  /// sched nor trace checking is armed (cache-only unit tests).
+  /// real caches for audit-time SWAR decode; `l1_live` may be nullptr to
+  /// audit the L2 alone, and `dag` may be nullptr when neither sched nor
+  /// trace checking is armed (both as in the cache-only unit tests).
   void on_run_start(const CmpConfig& cfg, const TaskDag* dag,
                     const std::vector<SetAssocCache>* l1_live,
                     const SetAssocCache* l2_live);
@@ -200,7 +192,7 @@ class Checker {
   /// End of run: leftover-invalidation flush and scheduler totals.
   void on_run_end();
 
-  // --- engine commit hooks (one reference = one l1_hit or one l1_fill) --
+  // --- engine hooks (one reference = one l1_hit or one l1_fill) --
   void on_l1_hit(int core, uint64_t line, bool write);
   void on_l1_fill(int core, uint64_t line, bool write, bool victim_valid,
                   uint64_t victim_line, bool victim_dirty);
@@ -255,7 +247,7 @@ class Checker {
   ShadowCache sl2_{1, 1};
   bool shadow_on_ = false;
 
-  // Invalidations the current committed write still owes (coherence).
+  // Invalidations the current write still owes (coherence).
   std::vector<PendingInv> pending_;
 
   // Scheduler conservation (sched).

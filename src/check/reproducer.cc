@@ -10,7 +10,7 @@ namespace cachesched {
 namespace check {
 namespace {
 
-constexpr const char* kMagic = "cachesched-crash-repro v1";
+constexpr const char* kMagic = "cachesched-crash-repro v2";
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("bad crash repro: " + what);
@@ -100,10 +100,8 @@ std::string CrashRepro::serialize() const {
   os << "task_ws=" << task_ws << "\n";
   os << "fine_grained=" << (fine_grained ? 1 : 0) << "\n";
   os << "seed=" << seed << "\n";
-  os << "sim_threads=" << sim_threads << "\n";
   os << "overrides=" << overrides.serialize() << "\n";
   os << "check=" << one_line(check) << "\n";
-  os << "verify=" << (verify.empty() ? "none" : verify) << "\n";
   os << "op_index=" << op_index << "\n";
   os << "violation=" << one_line(violation) << "\n";
   return os.str();
@@ -142,11 +140,8 @@ CrashRepro CrashRepro::parse(const std::string& text) {
   r.task_ws = parse_u64("task_ws", take("task_ws"));
   r.fine_grained = parse_bool("fine_grained", take("fine_grained"));
   r.seed = parse_u64("seed", take("seed"));
-  r.sim_threads =
-      static_cast<int>(parse_u64("sim_threads", take("sim_threads")));
   r.overrides = parse_overrides(take("overrides"));
   r.check = take("check");
-  r.verify = take("verify");
   r.op_index = parse_u64("op_index", take("op_index"));
   r.violation = take("violation");
   if (!kv.empty()) fail("unknown key " + kv.begin()->first);

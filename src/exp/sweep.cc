@@ -118,10 +118,6 @@ SweepRecord run_one(const SweepJob& job, const Workload& w,
   }
   CmpSimulator sim(cfg);
   if (job.quantum_cycles) sim.set_quantum_cycles(*job.quantum_cycles);
-  // 0 keeps the simulator default ($CACHESCHED_SIM_THREADS or serial);
-  // results are byte-identical either way, so this never enters job or
-  // store identity.
-  if (options.sim_threads > 0) sim.set_sim_threads(options.sim_threads);
   if (options.check.any()) sim.set_check(options.check);
   // Watchdog / cancellation / stall-fault poll: only attached when one
   // of them can fire, so the common case keeps the engine poll disabled.

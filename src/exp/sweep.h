@@ -202,14 +202,6 @@ struct SweepOptions {
   /// Test/diagnostics hook: called once per unique workload actually
   /// built (serialized), with the spec/label of the job that built it.
   std::function<void(const std::string& app)> on_workload_built;
-  /// Host threads per simulation (CmpSimulator::set_sim_threads),
-  /// composing with `workers`: a sweep runs `workers` jobs concurrently,
-  /// each simulated by `sim_threads` threads (total ~ workers x
-  /// sim_threads). 0 = leave the simulator default ($CACHESCHED_SIM_THREADS
-  /// or serial). Results are byte-identical at every value, so this is an
-  /// execution knob like `workers` — deliberately NOT part of job identity,
-  /// workload keys, or store keys.
-  int sim_threads = 0;
   /// Runtime invariant checkers (src/check/checkspec.h) armed on every
   /// job's simulator. Default-constructed = disarmed (a $CACHESCHED_CHECK
   /// env arming still applies — the simulator constructor reads it). A
@@ -222,7 +214,7 @@ struct SweepOptions {
   // fail-fast contract: no watchdog, no retries, the first error aborts
   // the sweep.
 
-  /// Per-job wall-clock watchdog (ms); the engines poll it cooperatively
+  /// Per-job wall-clock watchdog (ms); the engine polls it cooperatively
   /// (robust/guard.h). A job that exceeds it fails with JobTimeoutError —
   /// quarantined when `quarantine` is set (never retried: a deterministic
   /// simulation that timed out once would time out again), fatal

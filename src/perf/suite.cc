@@ -49,50 +49,6 @@ Benchmark bench_engine(const std::string& app, const std::string& sched,
   return b;
 }
 
-/// Parallel single-simulation rows (engine round 3): one mergesort
-/// workload under PDF at --sim-threads 1, 2 and 4, plus the t4-over-t1
-/// speedup ratio. Full mode uses the paper-scale 1.7 M-task mergesort
-/// (scale 1.0, task-ws 2048) that motivated the parallel engine; quick
-/// mode uses the engine-row scale so the CI perf lane stays fast. On a
-/// single-core host the threaded rows measure speculation overhead, not
-/// speedup — the multi-core CI runner's artifact is the meaningful
-/// speedup number (the dev container is 1-core).
-std::vector<Benchmark> bench_engine_parallel(bool quick, int warmup,
-                                             int reps) {
-  const double scale = quick ? 0.03125 : 1.0;
-  const CmpConfig cfg = default_config(8).scaled(scale);
-  AppOptions opt;
-  opt.scale = scale;
-  if (!quick) opt.mergesort_task_ws = 2048;
-  const Workload w = make_workload("mergesort", cfg, opt);
-  std::vector<Benchmark> out;
-  for (const int threads : {1, 2, 4}) {
-    uint64_t refs = 0;
-    const Stats stats = measure(warmup, reps, [&] {
-      CmpSimulator sim(cfg);
-      sim.set_sim_threads(threads);
-      const auto s = make_scheduler("pdf");
-      const SimResult r = sim.run(w.dag, *s);
-      refs = r.total_refs();
-    });
-    Benchmark b;
-    b.name = "engine_parallel/mergesort/t" + std::to_string(threads);
-    b.metric = "Mrefs_per_sec";
-    b.work_items = refs;
-    b.stats = stats;
-    b.value = static_cast<double>(refs) / stats.min / 1e6;
-    out.push_back(std::move(b));
-  }
-  Benchmark speedup;
-  speedup.name = "engine_parallel/mergesort/speedup_t4";
-  speedup.metric = "speedup";
-  speedup.work_items = out[0].work_items;
-  speedup.stats = out[2].stats;
-  speedup.value = out[0].value > 0 ? out[2].value / out[0].value : 0;
-  out.push_back(std::move(speedup));
-  return out;
-}
-
 Benchmark bench_lru_stack(double scale, int warmup, int reps) {
   const CmpConfig cfg = default_config(8).scaled(scale);
   AppOptions opt;
@@ -309,10 +265,6 @@ Report run_suite(const SuiteOptions& options) {
                    engine_scale, warmup, reps, "stencil", "ws_rand_half"));
   add(bench_engine(stencil_spec, "aff:steal=half", engine_scale, warmup,
                    reps, "stencil", "aff_half"));
-
-  for (Benchmark& b : bench_engine_parallel(quick, warmup, reps)) {
-    add(std::move(b));
-  }
 
   add(bench_lru_stack(quick ? 0.03125 : 0.0625, warmup, reps));
 

@@ -62,8 +62,7 @@ std::vector<std::pair<std::string, std::string>> split_params(
 constexpr const char* kSiteNames[kNumFaultSites] = {
     "store.write.short",  "store.rename.fail",
     "store.read.torrent", "alloc.workload_build",
-    "engine.spec.conflict_storm", "engine.stall",
-    "sched.dispatch.stall", "sched.steal.contend",
+    "engine.stall",       "sched.dispatch.stall",
 };
 
 bool is_stall_site(FaultSite s) {

@@ -1,10 +1,10 @@
-// Cooperative run guard: watchdog + cancellation for simulation engines.
+// Cooperative run guard: watchdog + cancellation for the simulation engine.
 //
-// Threads cannot be killed portably, so the engines *poll*: both the
-// serial and the speculative-parallel event loop check an optional
-// RunGuard every few hundred outer iterations (an outer iteration
-// retires at least one simulated event, so polls are rare relative to
-// the per-reference hot path and cost nothing when no guard is set).
+// Threads cannot be killed portably, so the engine *polls*: its event
+// loop checks an optional RunGuard every 64 outer iterations (an outer
+// iteration retires at least one simulated event, so polls are rare
+// relative to the per-reference hot path and cost nothing when no guard
+// is set).
 //
 // A poll does three things, in order:
 //   1. applies the `engine.stall` fault (sleeps, results unchanged) —

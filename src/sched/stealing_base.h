@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "core/scheduler.h"
-#include "robust/faultinject.h"
 
 namespace cachesched {
 
@@ -90,15 +89,7 @@ class StealingSchedulerBase : public Scheduler {
   TaskId steal_from(int thief, int victim) {
     auto& vq = deques_[victim];
     ++steals_;
-    size_t take = steal_ == Steal::kHalf ? (vq.size() + 1) / 2 : 1;
-    // Fault site sched.steal.contend: the steal hits contention and the
-    // victim keeps all but the bottom task — a steal-half degrades to
-    // steal-one. Scheduler calls happen only on the committing thread, so
-    // a seeded schedule perturbs the steal pattern deterministically.
-    if (take > 1 &&
-        robust::fault_point(robust::FaultSite::kSchedStealContend)) {
-      take = 1;
-    }
+    const size_t take = steal_ == Steal::kHalf ? (vq.size() + 1) / 2 : 1;
     const TaskId t = vq.front();  // bottom: oldest in sequential order
     vq.pop_front();
     auto& own = deques_[thief];  // empty — acquire only steals when it is

@@ -28,9 +28,8 @@ double SimResult::core_utilization() const {
 namespace {
 
 // The run-buffer op format and the batched trace expansion live in
-// engine_detail.h, shared with the speculative parallel engine
-// (engine_parallel.cc), which pre-executes the same expansion on worker
-// threads and replays it during rollback.
+// engine_detail.h, shared with the trace checker (check/invariants.cc),
+// which compares the expander against the reference TraceCursor.
 using engine_detail::BufOp;
 using engine_detail::evt_key;
 using engine_detail::kBufOps;
@@ -178,9 +177,9 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
   // trace exhausted). Expansion never looks at the caches or the clock, so
   // running ahead of the simulation is safe — the batched expander itself
   // (per-block constants amortized over the batch, InterleaveFast
-  // schedules, the same emission sequence as the reference loop) is shared
-  // with the parallel engine via engine_detail.h and pinned by
-  // tests/golden_sim_test.cc and the equality test in tests/trace_test.cc.
+  // schedules, the same emission sequence as the reference loop) lives in
+  // engine_detail.h and is pinned by tests/golden_sim_test.cc and the
+  // equality test in tests/trace_test.cc.
   const TraceExpander expander{dag.interleave_data(), dag.interleave_fast(),
                                line_shift};
   auto refill = [&expander](CoreState& core) {
@@ -473,26 +472,10 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
   return res;
 }
 
-// Default thread count for simulations that never call set_sim_threads:
-// $CACHESCHED_SIM_THREADS, parsed once. This is how pre-existing binaries
-// (tests, CLI) are run against the parallel engine wholesale — the CI TSan
-// job sets it to race-test every simulation a test suite performs.
-int default_sim_threads() {
-  static const int v = [] {
-    const char* e = std::getenv("CACHESCHED_SIM_THREADS");
-    if (e == nullptr || *e == '\0') return 1;
-    const long n = std::strtol(e, nullptr, 10);
-    return n >= 1 && n <= 1024 ? static_cast<int>(n) : 1;
-  }();
-  return v;
-}
-
 }  // namespace
 
 CmpSimulator::CmpSimulator(const CmpConfig& config)
-    : cfg_(config),
-      sim_threads_(default_sim_threads()),
-      check_(check::default_check_spec()) {
+    : cfg_(config), check_(check::default_check_spec()) {
   if (cfg_.cores < 1 || cfg_.cores > 32) {
     throw std::invalid_argument("1..32 cores supported");
   }
@@ -501,32 +484,8 @@ CmpSimulator::CmpSimulator(const CmpConfig& config)
   }
 }
 
-void CmpSimulator::set_sim_threads(int n) {
-  if (n < 1) throw std::invalid_argument("sim_threads must be >= 1");
-  sim_threads_ = n;
-}
-
 SimResult CmpSimulator::run(const TaskDag& dag, Scheduler& sched) {
-  par_stats_ = ParallelSimStats{};
   check_stats_ = check::CheckStats{};
-  if (sim_threads_ > 1) {
-    engine_impl::ParallelRunKnobs knobs;
-    knobs.conflict_stress = conflict_stress_;
-    knobs.commit_cap = commit_cap_;
-    knobs.diverge_at = diverge_at_;
-    if (check_.any()) {
-      check::Checker chk(check_);
-      knobs.checker = &chk;
-      const SimResult r = engine_impl::simulate_parallel(
-          cfg_, quantum_, collect_task_stats_, dag, sched, sim_threads_,
-          knobs, guard_, &par_stats_);
-      check_stats_ = chk.stats();
-      return r;
-    }
-    return engine_impl::simulate_parallel(cfg_, quantum_, collect_task_stats_,
-                                          dag, sched, sim_threads_, knobs,
-                                          guard_, &par_stats_);
-  }
   if (check_.any()) {
     // Armed runs take the generic-scheduler instantiation: checking is a
     // verification mode, so devirtualized dispatch buys nothing, and one

@@ -47,9 +47,6 @@ namespace cachesched {
 namespace robust {
 class RunGuard;  // robust/guard.h
 }
-namespace check {
-class Checker;  // check/invariants.h
-}
 
 struct SimResult {
   std::string scheduler;
@@ -101,23 +98,9 @@ struct SimResult {
                         static_cast<double>(cycles)
                   : 0.0;
   }
-};
 
-/// Diagnostics of the speculative parallel engine (sim_threads > 1); all
-/// zero after a serial run. Deliberately NOT part of SimResult: conflict
-/// and rollback counts depend on host thread timing, while every field of
-/// SimResult is byte-identical across thread counts.
-struct ParallelSimStats {
-  uint64_t delivered_invalidations = 0;  // cross-core invals applied to live L1s
-  uint64_t conflicts = 0;    // deliveries that overlapped speculated state
-  uint64_t rollbacks = 0;    // one per conflict
-  uint64_t replayed_ops = 0; // ops regenerated from snapshots during rollbacks
-  uint64_t snapshots = 0;    // snapshots taken (dispatches + refreshes)
-  uint64_t demotions = 0;    // rollback-storm demotions to serial commit
-                             // (0 or 1 per run; results unchanged)
-  uint64_t committed_ops = 0;  // run-buffer ops consumed by the committer —
-                               // the deterministic coordinate --verify=serial
-                               // bisects over (identical at all thread counts)
+  /// Field-by-field equality, per-core and per-task vectors included.
+  bool operator==(const SimResult&) const = default;
 };
 
 class CmpSimulator {
@@ -125,8 +108,7 @@ class CmpSimulator {
   explicit CmpSimulator(const CmpConfig& config);
 
   /// Executes `dag` to completion under `sched` and returns the statistics.
-  /// Deterministic: identical inputs give identical results, at every
-  /// sim_threads value.
+  /// Deterministic: identical inputs give identical results.
   SimResult run(const TaskDag& dag, Scheduler& sched);
 
   /// Extra run-ahead window; see file comment. 0 = exact interleaving.
@@ -135,32 +117,10 @@ class CmpSimulator {
   /// Record per-task miss/reference counts in the result.
   void set_collect_task_stats(bool v) { collect_task_stats_ = v; }
 
-  /// Host threads used to execute one simulation. 1 = the serial engine;
-  /// N > 1 = the speculative parallel engine (engine_parallel.cc): N - 1
-  /// speculation workers pre-execute the simulated cores' private
-  /// L1/trace work while the calling thread commits every shared-L2 and
-  /// memory-channel interaction in exact serial order, so results are
-  /// byte-identical to the serial engine. Defaults to
-  /// $CACHESCHED_SIM_THREADS when set (so existing binaries can be run
-  /// threaded, e.g. under TSan), else 1.
-  void set_sim_threads(int n);
-  int sim_threads() const { return sim_threads_; }
-
-  /// Test knob: make the parallel engine wait for the target core's
-  /// speculation to quiesce before delivering each cross-core
-  /// invalidation, so that an invalidation overlapping speculated work
-  /// reliably exercises the conflict/rollback path. Timing-only — results
-  /// are unchanged.
-  void set_parallel_conflict_stress(bool v) { conflict_stress_ = v; }
-
-  /// Speculation diagnostics of the most recent run().
-  const ParallelSimStats& parallel_stats() const { return par_stats_; }
-
   /// Arms the runtime invariant checkers (src/check/) for subsequent
   /// run() calls. Defaults to $CACHESCHED_CHECK (parsed once; unset =
-  /// disarmed). Disarmed, the serial engine's checked code compiles away
-  /// entirely (the run loop is templated on a no-op checker) and the
-  /// parallel engine's commit path pays one untaken branch per hook.
+  /// disarmed). Disarmed, the checked code compiles away entirely (the
+  /// run loop is templated on a no-op checker).
   void set_check(const check::CheckSpec& spec) { check_ = spec; }
   const check::CheckSpec& check() const { return check_; }
 
@@ -169,19 +129,7 @@ class CmpSimulator {
   /// just that nothing threw.
   const check::CheckStats& check_stats() const { return check_stats_; }
 
-  /// Test/bisection knob (--verify=serial): demote the parallel engine to
-  /// serial commit just before it consumes its `cap`-th run-buffer op, as
-  /// if a rollback storm fired there. Results are unchanged for a correct
-  /// engine — the bisection in check/verify.cc uses this to localize the
-  /// first committed op whose speculation diverges. UINT64_MAX = off.
-  void set_spec_commit_cap(uint64_t cap) { commit_cap_ = cap; }
-
-  /// Fault-planting knob for the bisection tests: corrupt the committed
-  /// timing (one extra cycle) when the parallel engine consumes committed
-  /// op `k`, iff speculation is still live there. UINT64_MAX = off.
-  void set_diverge_at(uint64_t k) { diverge_at_ = k; }
-
-  /// Cooperative watchdog/cancellation: both engines poll `guard` every
+  /// Cooperative watchdog/cancellation: the engine polls `guard` every
   /// few outer event-loop iterations (robust/guard.h), so a run can be
   /// bounded by a wall-clock budget or aborted on SIGINT/SIGTERM. The
   /// caller owns the guard; it must outlive run(). nullptr (the default)
@@ -194,34 +142,9 @@ class CmpSimulator {
   CmpConfig cfg_;
   uint64_t quantum_ = 1000;
   bool collect_task_stats_ = false;
-  int sim_threads_ = 1;  // constructor applies $CACHESCHED_SIM_THREADS
-  bool conflict_stress_ = false;
   const robust::RunGuard* guard_ = nullptr;
-  ParallelSimStats par_stats_;
   check::CheckSpec check_;  // constructor applies $CACHESCHED_CHECK
   check::CheckStats check_stats_;
-  uint64_t commit_cap_ = UINT64_MAX;
-  uint64_t diverge_at_ = UINT64_MAX;
 };
-
-namespace engine_impl {
-/// Parallel-engine knobs beyond the hot configuration (all default-off;
-/// see the CmpSimulator setters of the same names).
-struct ParallelRunKnobs {
-  bool conflict_stress = false;
-  uint64_t commit_cap = UINT64_MAX;
-  uint64_t diverge_at = UINT64_MAX;
-  check::Checker* checker = nullptr;  // armed invariant checker, or null
-};
-
-/// The speculative parallel engine (engine_parallel.cc). `stats` must be
-/// zeroed by the caller; `threads` >= 2; `guard` may be nullptr.
-SimResult simulate_parallel(const CmpConfig& cfg, uint64_t quantum,
-                            bool collect_task_stats, const TaskDag& dag,
-                            Scheduler& sched, int threads,
-                            const ParallelRunKnobs& knobs,
-                            const robust::RunGuard* guard,
-                            ParallelSimStats* stats);
-}  // namespace engine_impl
 
 }  // namespace cachesched

@@ -1,14 +1,12 @@
-// Internals shared by the serial engine (engine.cc) and the speculative
-// parallel engine (engine_parallel.cc): the run-buffer op format and the
-// batched trace expansion that turns a task's PackedRef blocks into a
-// flat op stream.
+// Internals shared by the engine (engine.cc) and the trace checker
+// (check/invariants.cc): the run-buffer op format and the batched trace
+// expansion that turns a task's PackedRef blocks into a flat op stream.
 //
 // Expansion is a pure function of the blocks and the cursor — it never
-// looks at the caches or the clock — so both engines may run it ahead of
-// the simulation: the serial engine per-core between events, the parallel
-// engine on speculation worker threads (and again during rollback
-// replay). The emission order mirrors TraceCursor::next() exactly;
-// tests/golden_sim_test.cc and tests/trace_test.cc pin it.
+// looks at the caches or the clock — so the engine runs it ahead of the
+// simulation, per core between events. The emission order mirrors
+// TraceCursor::next() exactly; tests/golden_sim_test.cc and
+// tests/trace_test.cc pin it, and the trace checker spot-checks it.
 #pragma once
 
 #include <algorithm>

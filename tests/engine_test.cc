@@ -32,6 +32,13 @@ SimResult run(const TaskDag& dag, const CmpConfig& cfg, Scheduler& s,
   return sim.run(dag, s);
 }
 
+// Whole-result equality, per-core and per-task vectors included.
+void expect_identical(const SimResult& a, const SimResult& b) {
+  EXPECT_TRUE(a == b) << "cycles " << a.cycles << " vs " << b.cycles
+                      << ", l2_misses " << a.l2_misses << " vs "
+                      << b.l2_misses;
+}
+
 TEST(Engine, PureComputeTiming) {
   DagBuilder b;
   b.add_task({}, {RefBlock::compute(1000)});
@@ -182,12 +189,7 @@ TEST(Engine, DeterministicAcrossRuns) {
   }
   auto dag = b.finish();
   WsScheduler s1, s2;
-  const SimResult a = run(dag, tiny_config(4), s1);
-  const SimResult c = run(dag, tiny_config(4), s2);
-  EXPECT_EQ(a.cycles, c.cycles);
-  EXPECT_EQ(a.l2_misses, c.l2_misses);
-  EXPECT_EQ(a.l1_hits, c.l1_hits);
-  EXPECT_EQ(a.steals, c.steals);
+  expect_identical(run(dag, tiny_config(4), s1), run(dag, tiny_config(4), s2));
 }
 
 TEST(Engine, QuantumZeroMatchesDefaultOnDisjointWrites) {
@@ -260,136 +262,6 @@ TEST(Engine, RejectsTooManyCores) {
   CmpConfig c = tiny_config(1);
   c.cores = 64;
   EXPECT_THROW(CmpSimulator{c}, std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Speculative parallel engine (--sim-threads): SimResult must be identical
-// to the serial engine's, field for field, at every thread count.
-
-SimResult run_threaded(const TaskDag& dag, const CmpConfig& cfg, Scheduler& s,
-                       int threads, uint64_t quantum = 1000) {
-  CmpSimulator sim(cfg);
-  sim.set_quantum_cycles(quantum);
-  sim.set_collect_task_stats(true);
-  sim.set_sim_threads(threads);
-  return sim.run(dag, s);
-}
-
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.scheduler, b.scheduler);
-  EXPECT_EQ(a.config, b.config);
-  EXPECT_EQ(a.cores, b.cores);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.tasks_executed, b.tasks_executed);
-  EXPECT_EQ(a.l1_hits, b.l1_hits);
-  EXPECT_EQ(a.l2_hits, b.l2_hits);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.writebacks, b.writebacks);
-  EXPECT_EQ(a.invalidations, b.invalidations);
-  EXPECT_EQ(a.mem_stall_cycles, b.mem_stall_cycles);
-  EXPECT_EQ(a.mem_queue_cycles, b.mem_queue_cycles);
-  EXPECT_EQ(a.mem_busy_cycles, b.mem_busy_cycles);
-  EXPECT_EQ(a.steals, b.steals);
-  EXPECT_EQ(a.core_busy_cycles, b.core_busy_cycles);
-  EXPECT_EQ(a.task_l2_misses, b.task_l2_misses);
-  EXPECT_EQ(a.task_refs, b.task_refs);
-}
-
-// A sharing-heavy DAG: parallel readers/writers over overlapping lines so
-// cross-L1 invalidations, L2 victims, and channel queueing all fire.
-TaskDag contended_dag() {
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(10)});
-  for (int i = 0; i < 24; ++i) {
-    b.add_task({root},
-               {RefBlock::random_ref(0, 1 << 14, 400, i, i % 2, 3),
-                RefBlock::stride_ref(uint64_t(i % 4) << 12, 32, 128,
-                                     (i & 1) != 0, 2)});
-  }
-  return b.finish();
-}
-
-TEST(ParallelEngine, MatchesSerialAcrossThreadCounts) {
-  const auto dag = contended_dag();
-  for (uint64_t quantum : {uint64_t{1000}, uint64_t{0}}) {
-    WsScheduler serial_sched;
-    const SimResult serial =
-        run_threaded(dag, tiny_config(4), serial_sched, 1, quantum);
-    for (int threads : {2, 4, 8}) {
-      WsScheduler s;
-      expect_identical(serial,
-                       run_threaded(dag, tiny_config(4), s, threads, quantum));
-    }
-  }
-}
-
-TEST(ParallelEngine, SingleCoreDagRunsThreaded) {
-  // One simulated core leaves nothing to overlap, but the threaded path
-  // must still start up, drain, and produce the serial result.
-  DagBuilder b;
-  TaskId prev = b.add_task({}, {RefBlock::stride_ref(0, 64, 128, true, 3)});
-  prev = b.add_task({prev}, {RefBlock::compute(500)});
-  b.add_task({prev}, {RefBlock::stride_ref(0, 64, 128, false, 1)});
-  const auto dag = b.finish();
-  PdfScheduler s1, s4;
-  expect_identical(run_threaded(dag, tiny_config(1), s1, 1),
-                   run_threaded(dag, tiny_config(1), s4, 4));
-}
-
-TEST(ParallelEngine, ZeroLengthEpochs) {
-  // Quantum 0 forces an epoch boundary at every simulated op — the
-  // degenerate schedule where speculation windows are constantly cut short.
-  const auto dag = contended_dag();
-  PdfScheduler s1, s4;
-  expect_identical(run_threaded(dag, tiny_config(4), s1, 1, /*quantum=*/0),
-                   run_threaded(dag, tiny_config(4), s4, 4, /*quantum=*/0));
-}
-
-TEST(ParallelEngine, ForcedConflictRollsBackAndMatchesSerial) {
-  // Core A installs line X, speculates past a compute region into a second
-  // (L1-hit) read of X; core B then write-hits X in the L2, invalidating
-  // A's copy underneath the speculated hit. With the conflict-stress knob
-  // the committer waits for A's speculation to quiesce before delivering
-  // the invalidation, making the rollback/replay path deterministic to hit.
-  DagBuilder b;
-  b.add_task({}, {RefBlock::compute(50000),
-                  RefBlock::stride_ref(0, 1, 128, true, 1)});
-  b.add_task({}, {RefBlock::stride_ref(0, 1, 128, false, 1),
-                  RefBlock::compute(500000),
-                  RefBlock::stride_ref(0, 1, 128, false, 1)});
-  const auto dag = b.finish();
-  PdfScheduler s1;
-  const SimResult serial = run_threaded(dag, tiny_config(2), s1, 1);
-  PdfScheduler s2;
-  CmpSimulator sim(tiny_config(2));
-  sim.set_quantum_cycles(1000);
-  sim.set_collect_task_stats(true);
-  sim.set_sim_threads(2);
-  sim.set_parallel_conflict_stress(true);
-  const SimResult parallel = sim.run(dag, s2);
-  expect_identical(serial, parallel);
-  EXPECT_GT(serial.invalidations, 0u);
-  EXPECT_GE(sim.parallel_stats().rollbacks, 1u);
-  EXPECT_GT(sim.parallel_stats().replayed_ops, 0u);
-}
-
-TEST(ParallelEngine, ThreadsExceedingHardwareConcurrency) {
-  // Requesting far more host threads than cores (or simulated cores) must
-  // degrade gracefully, not deadlock or diverge.
-  const auto dag = contended_dag();
-  PdfScheduler s1;
-  const SimResult serial = run_threaded(dag, tiny_config(4), s1, 1);
-  for (int threads : {16, 64}) {
-    PdfScheduler s;
-    expect_identical(serial, run_threaded(dag, tiny_config(4), s, threads));
-  }
-}
-
-TEST(ParallelEngine, RejectsNonPositiveThreadCount) {
-  CmpSimulator sim(tiny_config(2));
-  EXPECT_THROW(sim.set_sim_threads(0), std::invalid_argument);
-  EXPECT_THROW(sim.set_sim_threads(-3), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Fault injection and fault tolerance (src/robust/), end to end:
 // spec-grammar strictness, deterministic fire schedules, the sweep
 // engine's retry/quarantine/watchdog/cancel policies, merge-with-holes,
-// and the parallel engine's rollback-storm demotion to serial.
+// and, for every fault site, that a faulted sweep never leaks an altered
+// result into the store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +22,6 @@
 #include "robust/faultinject.h"
 #include "robust/guard.h"
 #include "sched/pdf_scheduler.h"
-#include "sched/registry.h"
 #include "simarch/engine.h"
 
 namespace cachesched {
@@ -35,6 +35,12 @@ struct FaultGuard {
   explicit FaultGuard(const std::string& spec) { robust::arm_faults(spec); }
   ~FaultGuard() { robust::disarm_faults(); }
 };
+
+// Whole-result equality, per-core and per-task vectors included.
+void expect_identical(const SimResult& a, const SimResult& b) {
+  EXPECT_TRUE(a == b) << "cycles " << a.cycles << " vs " << b.cycles
+                      << ", steals " << a.steals << " vs " << b.steals;
+}
 
 // ------------------------------------------------------------- grammar
 
@@ -114,55 +120,9 @@ TEST(FaultSpec, SchedulerSitesParse) {
   EXPECT_EQ(stall[0].site, robust::FaultSite::kSchedDispatchStall);
   EXPECT_EQ(stall[0].stall_ms, 2u);
 
-  const auto contend =
-      robust::parse_fault_spec("sched.steal.contend:every=3,seed=9");
-  ASSERT_EQ(contend.size(), 1u);
-  EXPECT_EQ(contend[0].site, robust::FaultSite::kSchedStealContend);
-  EXPECT_TRUE(contend[0].seeded);
-
-  // The stall site needs a duration; the contention site takes none.
+  // The stall site needs a duration.
   EXPECT_THROW(robust::parse_fault_spec("sched.dispatch.stall:every=2"),
                std::invalid_argument);
-  EXPECT_THROW(robust::parse_fault_spec("sched.steal.contend:ms=5"),
-               std::invalid_argument);
-}
-
-TEST(FaultSpec, StealContentionDegradesStealsDeterministically) {
-  // Uneven fan-out that forces steals, under a steal-half policy so the
-  // contention fault (degrade to steal-one) has something to degrade.
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(1)});
-  for (int i = 0; i < 64; ++i) {
-    b.add_task({root}, {RefBlock::compute(200)});
-  }
-  const TaskDag dag = b.finish();
-  CmpConfig cfg = default_config(8);
-  cfg.task_dispatch_cycles = 0;
-
-  auto run_once = [&] {
-    auto s = make_scheduler("ws:steal=half");
-    CmpSimulator sim(cfg);
-    return sim.run(dag, *s);
-  };
-  const SimResult plain = run_once();
-  EXPECT_GT(plain.steals, 0u);
-
-  robust::arm_faults("sched.steal.contend:every=1");
-  const SimResult degraded = run_once();
-  const uint64_t fires = robust::fault_stats()
-      .fires[static_cast<int>(robust::FaultSite::kSchedStealContend)];
-  robust::arm_faults("sched.steal.contend:every=1");
-  const SimResult degraded2 = run_once();
-  robust::disarm_faults();
-
-  EXPECT_GT(fires, 0u) << "the contention site never fired";
-  EXPECT_EQ(degraded.tasks_executed, plain.tasks_executed);
-  // Same armed schedule => the degraded run is reproducible bit for bit.
-  EXPECT_EQ(degraded.cycles, degraded2.cycles);
-  EXPECT_EQ(degraded.steals, degraded2.steals);
-  // Steal-half taking one task at a time needs more steal events to move
-  // the same work.
-  EXPECT_GE(degraded.steals, plain.steals);
 }
 
 TEST(FaultSpec, DispatchStallLeavesSimulatedTimeUntouched) {
@@ -184,9 +144,7 @@ TEST(FaultSpec, DispatchStallLeavesSimulatedTimeUntouched) {
   EXPECT_GT(robust::fault_stats()
                 .fires[static_cast<int>(robust::FaultSite::kSchedDispatchStall)],
             0u);
-  EXPECT_EQ(plain.cycles, stalled.cycles);
-  EXPECT_EQ(plain.steals, stalled.steals);
-  EXPECT_EQ(plain.tasks_executed, stalled.tasks_executed);
+  expect_identical(plain, stalled);
 }
 
 // ----------------------------------------------------------- schedules
@@ -289,10 +247,12 @@ SweepSpec small_spec() {
 
 /// Fresh per-test store directory under the gtest temp dir.
 fs::path test_dir() {
+  // Parameterized test names contain '/'; keep the directory flat.
+  std::string name =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  std::replace(name.begin(), name.end(), '/', '_');
   const fs::path d =
-      fs::path(::testing::TempDir()) /
-      (std::string("cachesched_robust_") +
-       ::testing::UnitTest::GetInstance()->current_test_info()->name());
+      fs::path(::testing::TempDir()) / ("cachesched_robust_" + name);
   fs::remove_all(d);
   return d;
 }
@@ -487,99 +447,74 @@ TEST(SweepFaults, StoreFaultsUnderRetryYieldByteIdenticalResults) {
   fs::remove_all(dir);
 }
 
-// --------------------------------------------- rollback-storm demotion
+// ------------------------------------ every site: faulted store, resume
 
-/// Ping-pong write sharing: every task writes the same 32 lines, so each
-/// cross-core execution invalidates live L1 lines of the previous writer
-/// — a stream of delivered invalidations for the storm detector to see.
-TaskDag pingpong_dag() {
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(10)});
-  for (int i = 0; i < 16; ++i) {
-    b.add_task({root}, {RefBlock::stride_ref(0, 32, 128, true, 2),
-                        RefBlock::compute(500),
-                        RefBlock::stride_ref(0, 32, 128, true, 2)});
+/// The clause a site is armed with below: every other hit fires; the
+/// stall sites sleep 1 ms a bounded number of times.
+std::string every_other_hit(robust::FaultSite site) {
+  const std::string name = robust::fault_site_name(site);
+  if (site == robust::FaultSite::kEngineStall ||
+      site == robust::FaultSite::kSchedDispatchStall) {
+    return name + ":every=2,ms=1,max=8";
   }
-  return b.finish();
+  return name + ":every=2";
 }
 
-CmpConfig storm_config() {
-  CmpConfig c;
-  c.name = "tiny";
-  c.cores = 4;
-  c.l1_bytes = 1024;
-  c.l1_ways = 2;
-  c.l2_bytes = 8192;
-  c.l2_ways = 4;
-  c.l2_hit_cycles = 10;
-  c.line_bytes = 128;
-  c.mem_latency_cycles = 300;
-  c.mem_service_cycles = 30;
-  c.task_dispatch_cycles = 0;
-  return c;
-}
+class EverySite : public ::testing::TestWithParam<int> {};
 
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.tasks_executed, b.tasks_executed);
-  EXPECT_EQ(a.l1_hits, b.l1_hits);
-  EXPECT_EQ(a.l2_hits, b.l2_hits);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.writebacks, b.writebacks);
-  EXPECT_EQ(a.invalidations, b.invalidations);
-  EXPECT_EQ(a.mem_stall_cycles, b.mem_stall_cycles);
-  EXPECT_EQ(a.mem_queue_cycles, b.mem_queue_cycles);
-  EXPECT_EQ(a.mem_busy_cycles, b.mem_busy_cycles);
-  EXPECT_EQ(a.steals, b.steals);
-  EXPECT_EQ(a.core_busy_cycles, b.core_busy_cycles);
-}
-
-TEST(StormDemotion, ConflictStormDemotesToSerialByteIdentically) {
-  const TaskDag dag = pingpong_dag();
-  const CmpConfig cfg = storm_config();
-  PdfScheduler s1;
-  CmpSimulator serial(cfg);
-  serial.set_quantum_cycles(1000);
-  const SimResult want = serial.run(dag, s1);
-  ASSERT_GT(want.invalidations, 8u) << "DAG must ping-pong lines";
-
-  // Force every delivered invalidation to conflict: speculation loses by
-  // construction, the storm detector must demote, and the demoted run
-  // must still equal the serial engine bit for bit.
-  FaultGuard faults("engine.spec.conflict_storm:every=1");
-  PdfScheduler s2;
-  CmpSimulator sim(cfg);
-  sim.set_quantum_cycles(1000);
-  sim.set_sim_threads(4);
-  const SimResult got = sim.run(dag, s2);
-  expect_identical(want, got);
-  EXPECT_EQ(sim.parallel_stats().demotions, 1u);
-  EXPECT_GE(sim.parallel_stats().rollbacks, 8u);
-}
-
-TEST(StormDemotion, ReadSharingNeverDemotes) {
-  // Read-only sharing produces no invalidations, so no rollbacks and no
-  // demotion: the detector must not be hair-triggered on healthy runs.
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(10)});
-  for (int i = 0; i < 16; ++i) {
-    b.add_task({root}, {RefBlock::stride_ref(0, 32, 128, false, 2),
-                        RefBlock::compute(500)});
+// No fault may leak an altered result into the result store. For every
+// site: a faulted sweep into a store (retries masking the failures),
+// then a faulted resume that reads every entry back, then a fault-free
+// resume that must serve every job from the store, byte-identical to a
+// sweep that never saw a fault. A stealing scheduler is in the matrix so
+// a site on the scheduler path is exercised too.
+TEST_P(EverySite, FaultedStoreResumesByteIdentically) {
+  const auto site = static_cast<robust::FaultSite>(GetParam());
+  const fs::path dir = test_dir();
+  SweepSpec spec = small_spec();
+  spec.scheds = {"pdf", "ws:steal=half"};
+  const auto jobs = expand(spec);
+  const SweepResults plain = run_sweep(jobs, {.workers = 1});
+  const std::string want_csv = plain.to_table().to_csv();
+  {
+    FaultGuard faults(every_other_hit(site));
+    ResultStore store(dir.string());
+    SweepOptions opt;
+    opt.workers = 1;
+    opt.share_workloads = false;  // one build per job: alloc site hits
+    opt.job_retries = 4;
+    opt.retry_backoff_ms = 1;
+    opt.store = &store;
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then resume
+      EXPECT_EQ(run_sweep(jobs, opt).to_table().to_csv(), want_csv)
+          << "faulted pass " << pass;
+    }
+    EXPECT_GT(robust::fault_stats().fires[GetParam()], 0u)
+        << every_other_hit(site) << " never fired";
   }
-  const TaskDag dag = b.finish();
-  const CmpConfig cfg = storm_config();
-  PdfScheduler s1, s2;
-  CmpSimulator serial(cfg);
-  serial.set_quantum_cycles(1000);
-  const SimResult want = serial.run(dag, s1);
-  CmpSimulator sim(cfg);
-  sim.set_quantum_cycles(1000);
-  sim.set_sim_threads(4);
-  const SimResult got = sim.run(dag, s2);
-  expect_identical(want, got);
-  EXPECT_EQ(sim.parallel_stats().demotions, 0u);
+  ResultStore store(dir.string());
+  SweepOptions opt;
+  opt.workers = 1;
+  opt.store = &store;
+  const SweepResults resumed = run_sweep(jobs, opt);
+  EXPECT_EQ(store.stats().hits, jobs.size());
+  EXPECT_EQ(resumed.to_table().to_csv(), want_csv);
+  EXPECT_EQ(resumed.to_json(), plain.to_json());
+  ASSERT_EQ(resumed.size(), plain.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    expect_identical(resumed[i].result, plain[i].result);
+  }
+  fs::remove_all(dir);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSites, EverySite, ::testing::Range(0, robust::kNumFaultSites),
+    [](const ::testing::TestParamInfo<int>& info) {
+      std::string name =
+          robust::fault_site_name(static_cast<robust::FaultSite>(info.param));
+      std::replace(name.begin(), name.end(), '.', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace cachesched
