@@ -55,6 +55,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const double scale = args.get_double("scale", 0.0625);
   const int cores = static_cast<int>(args.get_int("cores", 16));
+  if (const int rc = args.check_unused()) return rc;
   const CmpConfig cfg = default_config(cores).scaled(scale);
 
   AppOptions opt;
@@ -80,5 +81,5 @@ int main(int argc, char** argv) {
   std::printf("\nRandom greedy is load-balanced but cache-oblivious: its "
               "misses bracket the\nvalue of PDF's sequential-order policy "
               "(and of WS's depth-first locality).\n");
-  return args.check_unused();
+  return 0;
 }

@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const int threads = static_cast<int>(args.get_int("threads", 4));
   const size_t elems = static_cast<size_t>(args.get_int("elems", 2000000));
+  if (const int rc = args.check_unused()) return rc;
 
   std::vector<int> original(elems);
   Xoshiro256 rng(1234);
@@ -64,5 +65,5 @@ int main(int argc, char** argv) {
               "shared LLC the PDF\nexecutor's cache behaviour mirrors the "
               "simulated results)\n",
               threads, elems);
-  return args.check_unused();
+  return 0;
 }

@@ -13,8 +13,9 @@ using namespace cachesched;
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const double scale = args.get_double("scale", 0.0625);
+  if (const int rc = args.check_unused()) return rc;
   const CmpConfig cfg = default_config(16).scaled(scale);
-  std::printf("config: %s  (inputs scaled x%g; see DESIGN.md)\n\n",
+  std::printf("config: %s  (inputs and caches scaled x%g)\n\n",
               cfg.describe().c_str(), scale);
 
   for (const char* app : {"mergesort", "hashjoin"}) {
@@ -39,5 +40,5 @@ int main(int argc, char** argv) {
                 100.0 * (1.0 - static_cast<double>(pdf.l2_misses) /
                                    static_cast<double>(ws.l2_misses)));
   }
-  return args.check_unused();
+  return 0;
 }

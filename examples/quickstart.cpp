@@ -23,6 +23,7 @@ using namespace cachesched;
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
+  if (const int rc = args.check_unused()) return rc;
   DagBuilder builder;
 
   // one producer writes a 4 MB buffer...
@@ -78,5 +79,5 @@ int main(int argc, char** argv) {
       "the\nscanners; WS serializes the consumers on the spawning core while "
       "the\nthieves run scanners — same cold misses, worse completion "
       "time.\n");
-  return args.check_unused();
+  return 0;
 }

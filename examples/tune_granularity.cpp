@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const int cores = static_cast<int>(args.get_int("cores", 16));
   const double scale = args.get_double("scale", 0.0625);
+  if (const int rc = args.check_unused()) return rc;
   const CmpConfig cfg = default_config(cores).scaled(scale);
 
   // Step 1: finest-grained program.
@@ -77,5 +78,5 @@ int main(int argc, char** argv) {
   std::printf("auto-tuned within %.1f%% of hand-tuned (paper: within 5%%)\n",
               100.0 * (static_cast<double>(t_tuned) /
                            static_cast<double>(t_manual) - 1.0));
-  return args.check_unused();
+  return 0;
 }

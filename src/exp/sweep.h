@@ -2,9 +2,10 @@
 //
 // Every figure/table in the paper is a cross product (apps x schedulers x
 // configurations x scales) of independent, deterministic simulations.
-// Instead of each bench hand-rolling the same serial nested loop, a bench
-// declares a SweepSpec (or builds an explicit job list), run_sweep expands
-// it into a job matrix and executes the jobs on a worker thread pool —
+// Instead of each experiment hand-rolling the same serial nested loop, an
+// experiment (a `cachesched_cli paper` artifact, a `sweep` run) declares
+// a SweepSpec (or builds an explicit job list), run_sweep expands it into
+// a job matrix and executes the jobs on a worker thread pool —
 // every CmpSimulator::run is self-contained, so the sweep saturates the
 // host while each simulation stays exactly deterministic.
 //
@@ -293,8 +294,8 @@ class SweepResults {
   std::vector<QuarantinedJob> quarantined_;
   size_t retries_ = 0;
   /// JobKey -> index of the first matching record; built at construction
-  /// (benches look up every sweep point, which was quadratic with a
-  /// linear scan per lookup).
+  /// (the paper artifacts look up every sweep point, which was quadratic
+  /// with a linear scan per lookup).
   std::unordered_map<JobKey, size_t, JobKeyHash> find_index_;
 };
 

@@ -1,9 +1,9 @@
 // Shared experiment harness: builds paper benchmarks sized for a CMP
 // configuration and scale factor, constructs schedulers by name, and runs
-// simulations. Used by every bench binary, the examples and the
+// simulations. Used by `cachesched_cli paper`, the examples and the
 // integration tests, so all experiments agree on sizing rules.
 //
-// Scaling rule (DESIGN.md §3, EXPERIMENTS.md): at scale s the inputs are
+// Scaling rule: at scale s the inputs are
 // s times the paper's, and callers pass a CmpConfig whose caches were
 // scaled by the same s (CmpConfig::scaled). Shapes — who wins, by what
 // factor, where crossovers fall — depend on the input/cache ratios, which

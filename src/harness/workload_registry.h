@@ -10,8 +10,8 @@
 //     "layered", "pipeline", "stencil"), whose params are the generator
 //     knobs (see src/gen/genspec.h for the grammar).
 //
-// Every workload consumer — the sweep engine, the perf suite,
-// cachesched_cli and the bench drivers — resolves workloads through
+// Every workload consumer — the sweep engine, the perf suite and
+// cachesched_cli, `paper` included — resolves workloads through
 // make_workload, so seed and generated workloads are interchangeable
 // anywhere an app name is accepted.
 #pragma once

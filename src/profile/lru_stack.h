@@ -7,7 +7,7 @@
 // visited the line. A reference hits in a fully-associative LRU cache of
 // capacity C lines iff distance < C.
 //
-// Implementation (DESIGN.md §3): the paper builds a B-tree over the LRU
+// Implementation: the paper builds a B-tree over the LRU
 // stack's linked list to count distances; we keep a live-bit per
 // timestamp slot in a hierarchical blocked-popcount bit-set
 // (util/bitrank.h) with periodic batched compaction — identical outputs

@@ -4,7 +4,8 @@
 // as the paper describes. Tedious by design: profiling a hierarchy of
 // nested groups revisits each reference once per enclosing level, which is
 // what the one-pass LruTree profiler (ws_profiler.h) eliminates.
-// bench/table_profiler.cc reproduces the §6.1 runtime comparison.
+// `cachesched_cli paper --only=table_profiler` reproduces the §6.1 runtime
+// comparison.
 #pragma once
 
 #include <cstdint>

@@ -16,8 +16,8 @@
 //
 // `scaled(f)` shrinks the L2 (and the workloads shrink their inputs by the
 // same factor) so that the input/L2 ratios — which determine the miss-curve
-// shapes — match the paper at a fraction of the simulation cost. See
-// DESIGN.md §3 and EXPERIMENTS.md.
+// shapes — match the paper at a fraction of the simulation cost. See the
+// scaling rule in harness/apps.h.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// Minimal command-line parsing for bench/example binaries.
+// Minimal command-line parsing for the CLI, tools and examples.
 // Supports --key=value, --key value, and boolean --flag forms. Unknown keys
 // are reported so that experiment scripts fail loudly instead of silently
 // running the wrong sweep.

@@ -86,6 +86,7 @@ void Table::emit(const std::string& csv_path) const {
   std::cout << to_string() << std::flush;
   if (!csv_path.empty()) {
     std::ofstream f(csv_path);
+    if (!f) throw std::runtime_error("cannot write " + csv_path);
     f << to_csv();
     std::cout << "[csv written to " << csv_path << "]\n";
   }

@@ -1,6 +1,6 @@
-// Console table / CSV emission for bench harnesses. Every figure bench
+// Console table / CSV emission for the CLI. Every paper artifact and sweep
 // prints (a) an aligned human-readable table and (b) optionally a CSV file,
-// so results can be diffed against EXPERIMENTS.md and replotted.
+// so results can be diffed against earlier runs and replotted.
 #pragma once
 
 #include <string>
@@ -28,7 +28,8 @@ class Table {
   /// are emitted verbatim.
   std::string to_csv() const;
 
-  /// Writes CSV to `path` if non-empty; prints the table to stdout.
+  /// Prints the table to stdout, then writes CSV to `csv_path` if
+  /// non-empty; throws std::runtime_error if the file cannot be opened.
   void emit(const std::string& csv_path = "") const;
 
  private:

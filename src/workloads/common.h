@@ -1,7 +1,7 @@
 // Shared helpers for workload generators: a line-aligned virtual address
 // allocator and trace-emission conveniences. Workload generators translate
 // an algorithm's real data layout and access pattern into a computation DAG
-// with per-task reference blocks (see src/core/trace.h and DESIGN.md §3).
+// with per-task reference blocks (see src/core/trace.h).
 #pragma once
 
 #include <cstdint>
@@ -60,7 +60,7 @@ inline RefBlock merge_pass(uint64_t x, uint64_t x_bytes, uint64_t y,
   return RefBlock::interleave(s, 3, line_bytes, instr_per_ref);
 }
 
-/// A built workload: the DAG plus bookkeeping the benches report.
+/// A built workload: the DAG plus bookkeeping the experiments report.
 struct Workload {
   std::string name;
   std::string params;   // human-readable parameter description

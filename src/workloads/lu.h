@@ -2,7 +2,7 @@
 // pivoting, the Cilk distribution benchmark. The matrix is stored
 // block-major; the block size controls the grain of parallelism.
 //
-// Substitution note (DESIGN.md §3): the Cilk benchmark is a recursive
+// Substitution note: the Cilk benchmark is a recursive
 // quadrant factorization; we emit the equivalent block-level task DAG in
 // right-looking loop order — getrf(k) -> trsm(row/col k) -> gemm updates of
 // the trailing submatrix — which performs the same block operations with

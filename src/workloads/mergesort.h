@@ -31,7 +31,7 @@
 namespace cachesched {
 
 struct MergesortParams {
-  uint64_t num_elems = 1u << 22;   // 4M (paper: 32M; scaled per DESIGN.md)
+  uint64_t num_elems = 1u << 22;   // 4M (paper: 32M; scaled per harness/apps.h)
   uint32_t elem_bytes = 4;
   uint64_t task_ws_bytes = 512 * 1024;  // Figure 6 knob
   uint32_t merge_tasks_per_level = 64;  // paper §5 footnote 5

@@ -1,7 +1,7 @@
 // End-to-end integration tests: miniature versions of the paper's
-// experiments asserting the qualitative relationships the full benches
-// reproduce (see EXPERIMENTS.md). Small scales keep these fast; the bench
-// binaries run the full-size sweeps.
+// experiments asserting the qualitative relationships the full artifacts
+// reproduce. Small scales keep these fast; `cachesched_cli paper` runs the
+// full-size sweeps.
 #include <gtest/gtest.h>
 
 #include "coarsen/coarsen.h"

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/bitrank.h"
@@ -209,6 +211,13 @@ TEST(Table, ArityChecked) {
 TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::num(1.23456, 2), "1.23");
   EXPECT_EQ(Table::num(uint64_t{42}), "42");
+}
+
+TEST(Table, EmitThrowsWhenCsvCannotBeWritten) {
+  Table t({"a"});
+  t.add_row({"1"});
+  const std::string path = ::testing::TempDir() + "no-such-dir/x.csv";
+  EXPECT_THROW(t.emit(path), std::runtime_error);
 }
 
 }  // namespace

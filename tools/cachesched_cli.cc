@@ -59,6 +59,9 @@
 //   cachesched_cli perf --memory [--apps=mergesort] [--scale=1.0]
 //                        [--cores=8]    # deterministic DAG resident-size
 //                        report (trace arena + task metadata), no timing
+//   cachesched_cli paper [--only=fig2,...] [--jobs=N] [--csv=DIR]
+//                        # regenerate every paper figure and table
+//                        (artifact list and CSV names: tools/paper.cc)
 //
 // Everywhere an app name is accepted (--app, --apps), a synthetic
 // generator spec like "dnc:depth=8,fanout=4,ws=64K,share=0.3" works too
@@ -76,8 +79,8 @@
 // with quarantined jobs / merge assembled with holes, 4 an armed checker
 // caught an invariant violation (a crash reproducer was written), 130
 // interrupted by SIGINT/SIGTERM after a graceful drain. Errors go to
-// stderr. Every subcommand rejects unknown flags (exit 2) before it
-// builds a workload or writes a file.
+// stderr. Every subcommand rejects unknown flags and unknown workload or
+// scheduler names (exit 2) before it builds a workload or writes a file.
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -104,6 +107,11 @@
 #include "util/table.h"
 
 using namespace cachesched;
+
+namespace cachesched {
+/// `paper`: regenerates every figure and table (tools/paper.cc).
+int cmd_paper(const CliArgs& args);
+}  // namespace cachesched
 
 namespace {
 
@@ -187,6 +195,21 @@ int check_scheds(const std::vector<std::string>& scheds) {
     }
   }
   return 0;
+}
+
+/// Validates workload specs up front, like check_scheds: an unknown
+/// workload name exits 2 with a nearest-name hint before any build.
+int check_apps(const std::vector<std::string>& apps) {
+  const WorkloadRegistry& reg = WorkloadRegistry::instance();
+  for (const auto& spec : apps) {
+    if (reg.contains(spec)) continue;
+    const std::string name = spec.substr(0, spec.find(':'));
+    const std::string hint = nearest_flag(name, reg.names());
+    std::cerr << "cachesched_cli: unknown workload: " << name
+              << (hint.empty() ? "" : " (did you mean " + hint + "?)") << "\n";
+    return kExitUsage;
+  }
+  return kExitOk;
 }
 
 /// The --check/--repro-out vocabulary of run and replay.
@@ -282,6 +305,7 @@ int cmd_run(const CliArgs& args) {
   opt.mergesort_task_ws = static_cast<uint64_t>(args.get_int("task-ws", 0));
   opt.fine_grained = args.get_bool("fine-grained", true);
   const std::string app = args.get("app", "mergesort");
+  if (const int rc = check_apps({app})) return rc;
   const std::vector<std::string> scheds = sched_list(args);
   if (const int rc = check_scheds(scheds)) return rc;
   CheckFlags cf;
@@ -307,6 +331,7 @@ int cmd_trace(const CliArgs& args) {
   AppOptions opt;
   opt.scale = args.get_double("scale", 0.125);
   const std::string app = args.get("app", "mergesort");
+  if (const int rc = check_apps({app})) return rc;
   // Fail on typos before the build, and before --out is created.
   if (const int rc = args.check_unused()) return rc;
   const Workload w = make_workload(app, cfg, opt);
@@ -429,6 +454,7 @@ SweepSpec spec_from_args(const CliArgs& args) {
 
 int cmd_sweep(const CliArgs& args) {
   SweepSpec spec = spec_from_args(args);
+  if (const int rc = check_apps(spec.apps)) return rc;
   if (const int rc = check_scheds(spec.scheds)) return rc;
   if (const int rc = arm_faults_from_cli(args)) return rc;
 
@@ -609,6 +635,7 @@ int cmd_sweep(const CliArgs& args) {
 /// a single-process run of the same matrix.
 int cmd_sweep_merge(const CliArgs& args) {
   const SweepSpec spec = spec_from_args(args);
+  if (const int rc = check_apps(spec.apps)) return rc;
   if (const int rc = check_scheds(spec.scheds)) return rc;
   if (const int rc = arm_faults_from_cli(args)) return rc;
   const std::string csv = args.get("csv", "");
@@ -673,6 +700,7 @@ int cmd_perf_memory(const CliArgs& args) {
   opt.scale = scale;
   opt.mergesort_task_ws = static_cast<uint64_t>(args.get_int("task-ws", 0));
   if (const int rc = args.check_unused()) return rc;
+  if (const int rc = check_apps(apps)) return rc;
   const CmpConfig cfg = default_config(cores).scaled(scale);
   Table t({"app", "tasks", "refs", "trace_arena_MB", "task_MB", "edge_MB",
            "group_MB", "total_MB", "B/task", "refs/B"});
@@ -706,6 +734,7 @@ int cmd_perf(const CliArgs& args) {
   if (args.has("apps")) opt.apps = split_workload_list(args.get("apps", ""));
   const std::string out = args.get("out", "BENCH_sim.json");
   if (const int rc = args.check_unused()) return rc;
+  if (const int rc = check_apps(opt.apps)) return rc;
 
   opt.on_benchmark = [](const perf::Benchmark& b) {
     std::fprintf(stderr, "  %-24s %10.2f %s  (min %.3fs over %d reps)\n",
@@ -721,7 +750,8 @@ int cmd_perf(const CliArgs& args) {
   return 0;
 }
 
-int cmd_list() {
+int cmd_list(const CliArgs& args) {
+  if (const int rc = args.check_unused()) return rc;
   std::cout << "schedulers (spec grammar: name[:key=val,...]):\n";
   Table s({"name", "param", "default", "description"});
   for (const auto& name : known_schedulers()) {  // sorted by the registry
@@ -745,7 +775,8 @@ int cmd_list() {
   return 0;
 }
 
-int cmd_configs() {
+int cmd_configs(const CliArgs& args) {
+  if (const int rc = args.check_unused()) return rc;
   auto print = [](const char* title, const std::vector<CmpConfig>& v) {
     std::cout << "\n" << title << "\n";
     for (const auto& c : v) std::cout << "  " << c.describe() << "\n";
@@ -758,7 +789,7 @@ int cmd_configs() {
 int usage() {
   std::cerr << "usage: cachesched_cli "
                "{run|trace|replay|replay-crash|configs|list|sweep|"
-               "sweep merge|perf} [options]\n"
+               "sweep merge|perf|paper} [options]\n"
                "see the header of tools/cachesched_cli.cc for options\n";
   return kExitUsage;
 }
@@ -796,10 +827,11 @@ int main(int argc, char** argv) {
     else if (cmd == "trace") rc = cmd_trace(args);
     else if (cmd == "replay") rc = cmd_replay(args);
     else if (cmd == "replay-crash") rc = cmd_replay_crash(args);
-    else if (cmd == "configs") rc = cmd_configs();
-    else if (cmd == "list") rc = cmd_list();
+    else if (cmd == "configs") rc = cmd_configs(args);
+    else if (cmd == "list") rc = cmd_list(args);
     else if (cmd == "sweep") rc = cmd_sweep(args);
     else if (cmd == "perf") rc = cmd_perf(args);
+    else if (cmd == "paper") rc = cmd_paper(args);
     else return usage();
     // Subcommands that already failed (including on their own
     // check_unused) return as-is; re-checking would print twice.

@@ -38,4 +38,4 @@ fi
 
 "$FMT" --version
 git ls-files 'src/**/*.cc' 'src/**/*.h' 'tests/*.cc' 'tools/*.cc' \
-  'bench/*.cc' 'examples/*.cpp' | xargs "$FMT" "${MODE[@]}"
+  'examples/*.cpp' | xargs "$FMT" "${MODE[@]}"
