@@ -54,7 +54,7 @@ class RandomScheduler final : public Scheduler {
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const double scale = args.get_double("scale", 0.0625);
-  const int cores = static_cast<int>(args.get_int("cores", 16));
+  const int cores = args.get_int("cores", 16);
   if (const int rc = args.check_unused()) return rc;
   const CmpConfig cfg = default_config(cores).scaled(scale);
 

@@ -37,8 +37,8 @@ void msort(TaskPool& pool, int* a, int* buf, size_t n) {
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
-  const int threads = static_cast<int>(args.get_int("threads", 4));
-  const size_t elems = static_cast<size_t>(args.get_int("elems", 2000000));
+  const int threads = args.get_int("threads", 4);
+  const size_t elems = args.get_int<size_t>("elems", 2000000);
   if (const int rc = args.check_unused()) return rc;
 
   std::vector<int> original(elems);

@@ -16,7 +16,7 @@ using namespace cachesched;
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
-  const int cores = static_cast<int>(args.get_int("cores", 16));
+  const int cores = args.get_int("cores", 16);
   const double scale = args.get_double("scale", 0.0625);
   if (const int rc = args.check_unused()) return rc;
   const CmpConfig cfg = default_config(cores).scaled(scale);

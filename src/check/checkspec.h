@@ -8,8 +8,8 @@
 // shadow model of the caches and the scheduler contract and audit the
 // real (SWAR-packed) state against it at a configurable sampling period.
 // Disarmed — the default — the hooks compile to nothing (the run loop is
-// templated on a no-op checker), so the hot paths gated by the perf suite
-// are unaffected.
+// templated on a no-op checker), so the hot paths perfbench times are
+// unaffected.
 //
 // Arming uses the repo's strict spec-string grammar (genspec/schedspec/
 // faultspec family), via --check= or $CACHESCHED_CHECK:

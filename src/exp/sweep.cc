@@ -539,12 +539,6 @@ std::string SweepResults::to_json() const {
   return os.str();
 }
 
-void SweepResults::write_csv(const std::string& path) const {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot write " + path);
-  f << to_table().to_csv();
-}
-
 void SweepResults::write_json(const std::string& path) const {
   std::ofstream f(path);
   if (!f) throw std::runtime_error("cannot write " + path);

@@ -151,10 +151,10 @@ std::vector<SweepJob> expand(const SweepSpec& spec);
 /// string, every AppOptions field, and the capacity/geometry
 /// configuration fields of the WorkloadBuilder contract. Two jobs with
 /// equal keys simulate the same workload. Exposed so tooling (e.g. the
-/// perf suite's build-vs-sim split, the result store) groups jobs
-/// exactly as the cache does; `factory` jobs are not covered (they are
-/// never shared). The wrapped string (str()) is the key's canonical
-/// serialization — hash/compare the typed form, persist the string.
+/// result store, perfbench) groups jobs exactly as the cache does;
+/// `factory` jobs are not covered (they are never shared). The wrapped
+/// string (str()) is the key's canonical serialization — hash/compare
+/// the typed form, persist the string.
 struct WorkloadKey {
   std::string repr;
 
@@ -276,7 +276,6 @@ class SweepResults {
   /// JSON array of records (stable field order, no timing fields).
   std::string to_json() const;
 
-  void write_csv(const std::string& path) const;
   void write_json(const std::string& path) const;
 
   /// Jobs dropped under SweepOptions::quarantine, in job order. Empty

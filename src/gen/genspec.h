@@ -7,7 +7,7 @@
 //
 // naming one of five parameterized DAG families plus its knobs. Specs are
 // the workload-registry names of the generator subsystem: anywhere a seed
-// app name is accepted (sweep --apps, cachesched_cli run, the perf suite)
+// app name is accepted (sweep --apps, cachesched_cli run, perfbench)
 // a spec string works too, so the paper's experiments extend to an
 // unbounded scenario space instead of the seven hand-written benchmarks.
 //

@@ -21,7 +21,7 @@ uint64_t pow2_floor(uint64_t v) {
 }
 
 // Every seed app is resolvable through the workload registry, so the
-// sweep engine, perf suite and CLI treat paper apps and generated specs
+// sweep engine, perfbench and CLI treat paper apps and generated specs
 // (src/gen/) uniformly. Seed apps take no spec parameters.
 [[maybe_unused]] const bool kSeedAppsRegistered = [] {
   for (const std::string& name : known_apps()) {

@@ -40,11 +40,6 @@ class WorkingSetProfiler {
   /// (the one pass). Must be called exactly once.
   void run(const TaskDag& dag);
 
-  size_t num_sizes() const { return sizes_lines_.size(); }
-  uint64_t size_bytes(size_t idx) const {
-    return sizes_lines_[idx] * line_bytes_;
-  }
-
   /// References issued by tasks [b, e] (inclusive).
   uint64_t group_refs(TaskId b, TaskId e) const;
 

@@ -60,14 +60,9 @@ std::vector<std::pair<std::string, std::string>> split_params(
 }
 
 constexpr const char* kSiteNames[kNumFaultSites] = {
-    "store.write.short",  "store.rename.fail",
-    "store.read.torrent", "alloc.workload_build",
-    "engine.stall",       "sched.dispatch.stall",
+    "store.write.short",    "store.rename.fail", "store.read.torrent",
+    "alloc.workload_build", "engine.stall",
 };
-
-bool is_stall_site(FaultSite s) {
-  return s == FaultSite::kEngineStall || s == FaultSite::kSchedDispatchStall;
-}
 
 std::string known_sites() {
   std::string s;
@@ -171,10 +166,8 @@ std::vector<FaultClause> parse_fault_spec(const std::string& spec) {
         } else if (key == "max") {
           c.max_fires = parse_u64(spec, key, val, 0, UINT64_MAX);
         } else if (key == "ms") {
-          if (!is_stall_site(c.site)) {
-            fail(spec,
-                 "ms is only valid for engine.stall and "
-                 "sched.dispatch.stall");
+          if (c.site != FaultSite::kEngineStall) {
+            fail(spec, "ms is only valid for engine.stall");
           }
           c.stall_ms = parse_u64(spec, key, val, 1, 60000);
         } else {
@@ -183,7 +176,7 @@ std::vector<FaultClause> parse_fault_spec(const std::string& spec) {
         }
       }
     }
-    if (is_stall_site(c.site) && c.stall_ms == 0) {
+    if (c.site == FaultSite::kEngineStall && c.stall_ms == 0) {
       fail(spec, name + " requires ms=");
     }
     out.push_back(c);
@@ -220,8 +213,8 @@ void disarm_faults() {
 
 bool faults_armed() { return detail::g_any_armed; }
 
-uint64_t fault_stall_ms(FaultSite site) {
-  const SiteState& s = g_sites[static_cast<int>(site)];
+uint64_t fault_stall_ms() {
+  const SiteState& s = g_sites[static_cast<int>(FaultSite::kEngineStall)];
   return s.armed ? s.clause.stall_ms : 0;
 }
 

@@ -3,9 +3,9 @@
 // Production code declares named *injection sites* at the exact points
 // where real-world failures strike — a store write that tears, a rename
 // that fails, a read that observes a torn entry, an allocation that
-// throws, a stalled engine or dispatch — and asks `fault_point(site)`
-// whether the armed schedule says this particular hit should fail. A
-// disarmed process answers with a single relaxed atomic load, so the
+// throws, a stalled engine — and asks `fault_point(site)` whether the
+// armed schedule says this particular hit should fail. A disarmed
+// process answers with a single relaxed atomic load, so the
 // instrumentation is free in normal runs.
 //
 // Schedules are armed from a spec string (CACHESCHED_FAULTS env var or
@@ -45,10 +45,6 @@
 //   engine.stall               engine poll points sleep `ms` per fire —
 //                              a pure time dilation (results unchanged)
 //                              used to test watchdogs and live kills.
-//   sched.dispatch.stall       task dispatch (the engine's start_task)
-//                              sleeps `ms` per fire — wall-clock only, so
-//                              results stay byte-identical while the
-//                              watchdog sees a scheduler that crawls.
 //
 // No site alters simulation results: a faulted job either fails (and is
 // retried or quarantined) or completes with exactly the clean result, so
@@ -70,7 +66,6 @@ enum class FaultSite : uint8_t {
   kStoreReadTorn,
   kAllocWorkloadBuild,
   kEngineStall,
-  kSchedDispatchStall,
   kNumSites,
 };
 
@@ -86,7 +81,7 @@ struct FaultClause {
   uint64_t seed = 0;     // 0 = periodic; nonzero = pseudo-random schedule
   bool seeded = false;
   uint64_t max_fires = 0;  // 0 = unlimited
-  uint64_t stall_ms = 0;   // stall sites (engine.stall, sched.dispatch.stall)
+  uint64_t stall_ms = 0;   // engine.stall only
 };
 
 /// Parses a fault spec string. Throws std::invalid_argument on any
@@ -121,9 +116,8 @@ inline bool fault_point(FaultSite site) {
   return detail::fault_point_slow(site);
 }
 
-/// The armed stall duration in ms for a stall site — engine.stall (the
-/// default) or sched.dispatch.stall (0 if unarmed).
-uint64_t fault_stall_ms(FaultSite site = FaultSite::kEngineStall);
+/// The armed engine.stall duration in ms (0 if unarmed).
+uint64_t fault_stall_ms();
 
 /// Per-site counters since the last arm/disarm.
 struct FaultStats {

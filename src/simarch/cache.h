@@ -6,7 +6,7 @@
 // number (all paper configurations have power-of-two set counts; the
 // constructor enforces this).
 //
-// This is the simulator's hottest data structure (see src/perf/). Flat
+// This is the simulator's hottest data structure (see perfbench/). Flat
 // contiguous arrays, entries that never move, and the LRU order held
 // intrusively as a per-set byte permutation packed into words:
 //

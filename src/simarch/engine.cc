@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
-#include <thread>
 
 #include "check/invariants.h"
-#include "robust/faultinject.h"
 #include "robust/guard.h"
 #include "sched/central_fifo_scheduler.h"
 #include "sched/pdf_scheduler.h"
@@ -85,9 +82,9 @@ struct CoreState {
 // leaves the run loop or spills its accumulator state.
 // The loop is additionally templated on the checker type (src/check/):
 // the default NoCheck instantiation compiles every hook away under
-// `if constexpr`, so the disarmed hot path — the one the perf suite
-// gates — is untouched; an armed run instantiates the generic-scheduler
-// path with check::Checker and `chk` non-null.
+// `if constexpr`, so the disarmed hot path — the one perfbench times —
+// is untouched; an armed run instantiates the generic-scheduler path
+// with check::Checker and `chk` non-null.
 template <class S, class CK = check::NoCheck>
 SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
                    const TaskDag& dag, S& sched,
@@ -150,12 +147,6 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
 
   auto start_task = [&](int c, TaskId t, uint64_t now) {
     if constexpr (CK::kArmed) chk->on_dispatch(c, t);
-    // Fault site sched.dispatch.stall: dispatch crawls in wall-clock time
-    // (results unchanged) so watchdogs see a slow scheduler.
-    if (robust::fault_point(robust::FaultSite::kSchedDispatchStall)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          robust::fault_stall_ms(robust::FaultSite::kSchedDispatchStall)));
-    }
     CoreState& core = cores[c];
     core.task = t;
     const std::span<const PackedRef> blocks = dag.blocks(t);

@@ -1,10 +1,11 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <sstream>
-#include <stdexcept>
 
 namespace cachesched {
 namespace {
@@ -19,6 +20,34 @@ std::vector<std::string> split_commas(const std::string& s) {
   return out;
 }
 
+/// Converts `value` (comma-separated items if `list`) with `conv`. False,
+/// with `out` cleared, if any item fails or there is none.
+template <typename V, typename Conv>
+bool convert_all(const std::string& value, bool list, Conv conv,
+                 std::vector<V>* out) {
+  out->clear();
+  const std::vector<std::string> items =
+      list ? split_commas(value) : std::vector<std::string>{value};
+  for (const std::string& item : items) {
+    V v{};
+    if (!conv(item, &v)) {
+      out->clear();
+      return false;
+    }
+    out->push_back(v);
+  }
+  return !out->empty();
+}
+
+/// std::from_chars over the whole string: no sign for unsigned types, no
+/// leading space, no base prefix, no trailing characters.
+template <typename V>
+bool from_whole(const std::string& s, V* v) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *v);
+  return ec == std::errc() && ptr == end;
+}
+
 }  // namespace
 
 CliArgs::CliArgs(int argc, char** argv) {
@@ -26,7 +55,8 @@ CliArgs::CliArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      throw std::invalid_argument("unexpected positional argument: " + arg);
+      positional_.push_back(arg);
+      continue;
     }
     arg = arg.substr(2);
     auto eq = arg.find('=');
@@ -51,38 +81,51 @@ std::string CliArgs::get(const std::string& key, const std::string& def) const {
   return it == kv_.end() ? def : it->second;
 }
 
-int64_t CliArgs::get_int(const std::string& key, int64_t def) const {
-  auto s = get(key, "");
-  return s.empty() ? def : std::stoll(s);
+bool CliArgs::parse_uints(const std::string& key, uint64_t max, bool list,
+                          std::vector<uint64_t>* out) const {
+  if (!has(key)) return false;
+  const std::string& value = kv_.at(key);
+  const auto conv = [max](const std::string& s, uint64_t* v) {
+    return from_whole(s, v) && *v <= max;
+  };
+  if (convert_all(value, list, conv, out)) return true;
+  const std::string what =
+      list ? "comma-separated whole numbers" : "a whole number";
+  bad_.try_emplace(key, value, what + " from 0 to " + std::to_string(max));
+  return false;
 }
 
-double CliArgs::get_double(const std::string& key, double def) const {
-  auto s = get(key, "");
-  return s.empty() ? def : std::stod(s);
+bool CliArgs::parse_doubles(const std::string& key, bool list,
+                            std::vector<double>* out) const {
+  if (!has(key)) return false;
+  const std::string& value = kv_.at(key);
+  const auto conv = [](const std::string& s, double* v) {
+    return from_whole(s, v) && std::isfinite(*v) && !std::signbit(*v);
+  };
+  if (convert_all(value, list, conv, out)) return true;
+  const std::string what =
+      list ? "comma-separated non-negative numbers" : "a non-negative number";
+  bad_.try_emplace(key, value, what);
+  return false;
 }
 
 bool CliArgs::get_bool(const std::string& key, bool def) const {
-  auto s = get(key, "");
-  if (s.empty()) return def;
-  return s == "1" || s == "true" || s == "yes" || s == "on";
+  if (!has(key)) return def;
+  const std::string& s = kv_.at(key);
+  if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
+  if (s == "0" || s == "false" || s == "no" || s == "off") return false;
+  bad_.try_emplace(key, s, "1/0, true/false, yes/no or on/off");
+  return def;
 }
 
-std::vector<int64_t> CliArgs::get_int_list(const std::string& key,
-                                           std::vector<int64_t> def) const {
-  auto s = get(key, "");
-  if (s.empty()) return def;
-  std::vector<int64_t> out;
-  for (const auto& item : split_commas(s)) out.push_back(std::stoll(item));
-  return out;
-}
-
-std::vector<double> CliArgs::get_double_list(const std::string& key,
-                                             std::vector<double> def) const {
-  auto s = get(key, "");
-  if (s.empty()) return def;
-  std::vector<double> out;
-  for (const auto& item : split_commas(s)) out.push_back(std::stod(item));
-  return out;
+std::string CliArgs::get_output(const std::string& key,
+                                const std::string& def) const {
+  const std::string path = get(key, def);
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  if (!dir.empty() && !std::filesystem::is_directory(dir)) {
+    bad_.try_emplace(key, path, "a file in an existing directory");
+  }
+  return path;
 }
 
 std::vector<std::string> CliArgs::get_list(const std::string& key,
@@ -149,21 +192,27 @@ std::string nearest_flag(const std::string& unknown,
 }
 
 int CliArgs::check_unused() const {
-  const std::vector<std::string> bad = unused();
+  const char* prog = program_.empty() ? "cachesched" : program_.c_str();
+  for (const std::string& arg : positional_) {
+    std::fprintf(stderr, "%s: unexpected positional argument: %s\n", prog,
+                 arg.c_str());
+  }
+  for (const auto& [key, bad] : bad_) {
+    std::fprintf(stderr, "%s: bad value for --%s: \"%s\" (expected %s)\n",
+                 prog, key.c_str(), bad.first.c_str(), bad.second.c_str());
+  }
+  const std::vector<std::string> unknown = unused();
   const std::vector<std::string> known = queried();
-  for (const auto& k : bad) {
+  for (const auto& k : unknown) {
     const std::string suggestion = nearest_flag(k, known);
     if (suggestion.empty()) {
-      std::fprintf(stderr, "%s: unknown argument --%s\n",
-                   program_.empty() ? "cachesched" : program_.c_str(),
-                   k.c_str());
+      std::fprintf(stderr, "%s: unknown argument --%s\n", prog, k.c_str());
     } else {
       std::fprintf(stderr, "%s: unknown argument --%s (did you mean --%s?)\n",
-                   program_.empty() ? "cachesched" : program_.c_str(),
-                   k.c_str(), suggestion.c_str());
+                   prog, k.c_str(), suggestion.c_str());
     }
   }
-  return bad.empty() ? 0 : 2;
+  return positional_.empty() && bad_.empty() && unknown.empty() ? 0 : 2;
 }
 
 }  // namespace cachesched

@@ -1,5 +1,5 @@
 // Minimal JSON string escaping shared by the emitters (sweep results,
-// perf reports). Escapes quotes, backslashes and ASCII control
+// perfbench). Escapes quotes, backslashes and ASCII control
 // characters; other bytes pass through unchanged (output is UTF-8 when
 // the input is).
 #pragma once

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/dag.h"
+#include "harness/apps.h"
+#include "harness/workload_registry.h"
 
 namespace cachesched {
 namespace {
@@ -155,6 +159,59 @@ TEST(DagBuilder, CursorMatchesBlocks) {
     ++n;
   }
   EXPECT_EQ(n, 3);
+}
+
+// memory_stats() backs `cachesched_cli memory` and perfbench's
+// harness.dag_mb: every component covers at least its records, total()
+// adds them up, and two builds of one workload report the same bytes.
+TEST(DagMemory, StatsCoverTheRecordsAndRepeat) {
+  static_assert(sizeof(PackedRef) == 32);
+  const auto expect_covered = [](const TaskDag& dag) {
+    uint64_t blocks = 0;
+    uint64_t edges = dag.roots().size();
+    for (TaskId t = 0; t < dag.num_tasks(); ++t) {
+      blocks += dag.blocks(t).size();
+      edges += dag.children(t).size();
+    }
+    uint64_t group_bytes = dag.num_groups() * sizeof(TaskGroup);
+    for (GroupId g = 0; g < dag.num_groups(); ++g) {
+      group_bytes += dag.group(g).children.size() * sizeof(GroupId);
+    }
+    const TaskDag::MemoryStats m = dag.memory_stats();
+    EXPECT_GE(m.trace_arena_bytes, blocks * sizeof(PackedRef));
+    EXPECT_GE(m.task_bytes, dag.num_tasks() * sizeof(Task));
+    EXPECT_GE(m.edge_bytes, edges * sizeof(TaskId));
+    EXPECT_GE(m.group_bytes, group_bytes);
+    EXPECT_EQ(m.total(), m.trace_arena_bytes + m.task_bytes + m.edge_bytes +
+                             m.group_bytes);
+  };
+  // Exactly 1024 groups, so the group vector has no spare capacity that
+  // could hide a missing per-group children term.
+  DagBuilder b;
+  b.begin_group("root", 1, 0);
+  for (int i = 0; i < 1023; ++i) {
+    b.begin_group("leaf", 2, i);
+    b.add_task({}, {work(1)});
+    b.end_group();
+  }
+  b.end_group();
+  expect_covered(b.finish());
+
+  const CmpConfig cfg = default_config(8).scaled(0.03125);
+  AppOptions opt;
+  opt.scale = 0.03125;
+  for (const char* app : {"mergesort", "hashjoin"}) {
+    SCOPED_TRACE(app);
+    const Workload w = make_workload(app, cfg, opt);
+    expect_covered(w.dag);
+    const TaskDag::MemoryStats m = w.dag.memory_stats();
+    const TaskDag::MemoryStats again =
+        make_workload(app, cfg, opt).dag.memory_stats();
+    EXPECT_EQ(again.trace_arena_bytes, m.trace_arena_bytes);
+    EXPECT_EQ(again.task_bytes, m.task_bytes);
+    EXPECT_EQ(again.edge_bytes, m.edge_bytes);
+    EXPECT_EQ(again.group_bytes, m.group_bytes);
+  }
 }
 
 }  // namespace

@@ -15,13 +15,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/dag.h"
 #include "exp/store.h"
 #include "exp/sweep.h"
 #include "robust/errors.h"
 #include "robust/faultinject.h"
 #include "robust/guard.h"
-#include "sched/pdf_scheduler.h"
 #include "simarch/engine.h"
 
 namespace cachesched {
@@ -112,39 +110,6 @@ TEST(FaultSpec, BadSpecArmsNothing) {
                std::invalid_argument);
   EXPECT_FALSE(robust::faults_armed());
   EXPECT_FALSE(robust::fault_point(robust::FaultSite::kStoreWriteShort));
-}
-
-TEST(FaultSpec, SchedulerSitesParse) {
-  const auto stall = robust::parse_fault_spec("sched.dispatch.stall:ms=2");
-  ASSERT_EQ(stall.size(), 1u);
-  EXPECT_EQ(stall[0].site, robust::FaultSite::kSchedDispatchStall);
-  EXPECT_EQ(stall[0].stall_ms, 2u);
-
-  // The stall site needs a duration.
-  EXPECT_THROW(robust::parse_fault_spec("sched.dispatch.stall:every=2"),
-               std::invalid_argument);
-}
-
-TEST(FaultSpec, DispatchStallLeavesSimulatedTimeUntouched) {
-  // The stall burns wall-clock inside the engine's dispatch path, not
-  // simulated cycles: results must be identical to the unarmed run.
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(1)});
-  for (int i = 0; i < 8; ++i) {
-    b.add_task({root}, {RefBlock::compute(50)});
-  }
-  const TaskDag dag = b.finish();
-  CmpConfig cfg = default_config(4);
-  cfg.task_dispatch_cycles = 0;
-  PdfScheduler s1, s2;
-  CmpSimulator sim(cfg);
-  const SimResult plain = sim.run(dag, s1);
-  FaultGuard faults("sched.dispatch.stall:every=2,ms=1,max=4");
-  const SimResult stalled = sim.run(dag, s2);
-  EXPECT_GT(robust::fault_stats()
-                .fires[static_cast<int>(robust::FaultSite::kSchedDispatchStall)],
-            0u);
-  expect_identical(plain, stalled);
 }
 
 // ----------------------------------------------------------- schedules
@@ -450,14 +415,11 @@ TEST(SweepFaults, StoreFaultsUnderRetryYieldByteIdenticalResults) {
 // ------------------------------------ every site: faulted store, resume
 
 /// The clause a site is armed with below: every other hit fires; the
-/// stall sites sleep 1 ms a bounded number of times.
+/// stall site sleeps 1 ms a bounded number of times.
 std::string every_other_hit(robust::FaultSite site) {
   const std::string name = robust::fault_site_name(site);
-  if (site == robust::FaultSite::kEngineStall ||
-      site == robust::FaultSite::kSchedDispatchStall) {
-    return name + ":every=2,ms=1,max=8";
-  }
-  return name + ":every=2";
+  const bool stall = site == robust::FaultSite::kEngineStall;
+  return name + (stall ? ":every=2,ms=1,max=8" : ":every=2");
 }
 
 class EverySite : public ::testing::TestWithParam<int> {};
@@ -467,7 +429,7 @@ class EverySite : public ::testing::TestWithParam<int> {};
 // then a faulted resume that reads every entry back, then a fault-free
 // resume that must serve every job from the store, byte-identical to a
 // sweep that never saw a fault. A stealing scheduler is in the matrix so
-// a site on the scheduler path is exercised too.
+// engine.stall also fires while a stealing run is in flight.
 TEST_P(EverySite, FaultedStoreResumesByteIdentically) {
   const auto site = static_cast<robust::FaultSite>(GetParam());
   const fs::path dir = test_dir();

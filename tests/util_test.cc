@@ -4,6 +4,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/bitrank.h"
@@ -130,6 +131,13 @@ CliArgs make_args(std::vector<std::string> argv) {
   return CliArgs(static_cast<int>(ptrs.size()), ptrs.data());
 }
 
+/// check_unused() once the getters have run: its exit code and stderr.
+std::pair<int, std::string> check(const CliArgs& args) {
+  ::testing::internal::CaptureStderr();
+  const int rc = args.check_unused();
+  return {rc, ::testing::internal::GetCapturedStderr()};
+}
+
 TEST(Cli, KeyValueForms) {
   auto args = make_args({"prog", "--a=1", "--b", "2", "--flag"});
   EXPECT_EQ(args.get_int("a", 0), 1);
@@ -138,10 +146,84 @@ TEST(Cli, KeyValueForms) {
   EXPECT_EQ(args.get_int("missing", 7), 7);
 }
 
+// A malformed value yields the getter's default, and check_unused() names
+// the flag and the value and returns 2. The values are ones a lenient
+// parser misreads: 4x and 4.5 truncate to 4, -1 wraps in an unsigned
+// field, 2^32 + 8 wraps to 8 in an int, "flase" reads as false, and an
+// output path in a missing directory fails only after the run.
+TEST(Cli, MalformedValuesAreUsageErrors) {
+  const auto expect_bad = [](const std::string& flag, const std::string& value,
+                             auto returns_expected) {
+    const CliArgs args = make_args({"prog", "--" + flag + "=" + value});
+    EXPECT_TRUE(returns_expected(args)) << flag << "=" << value;
+    const auto [rc, err] = check(args);
+    EXPECT_EQ(rc, 2) << flag << "=" << value;
+    EXPECT_NE(err.find("bad value for --" + flag + ": \"" + value + "\""),
+              std::string::npos)
+        << err;
+  };
+  for (const std::string v : {"4x", "4.5", "-1", "abc", "", "+4", " 4", "0x10",
+                              "true", "4294967304", "99999999999999999999"}) {
+    expect_bad("cores", v,
+               [](const CliArgs& a) { return a.get_int("cores", 8) == 8; });
+  }
+  expect_bad("task-ws", "-1", [](const CliArgs& a) {
+    return a.get_int<uint64_t>("task-ws", 0) == 0;
+  });
+  for (const std::string v :
+       {"abc", "0.5x", "-0.25", "-0", "inf", "nan", "", "1e999"}) {
+    expect_bad("scale", v, [](const CliArgs& a) {
+      return a.get_double("scale", 0.125) == 0.125;
+    });
+  }
+  for (const std::string v : {"flase", "TRUE", "2", ""}) {
+    expect_bad("quarantine", v,
+               [](const CliArgs& a) { return a.get_bool("quarantine", true); });
+  }
+  for (const std::string v : {"1,2,x", "1,4294967304", ","}) {
+    expect_bad("cores", v, [](const CliArgs& a) {
+      return a.get_int_list<int>("cores", {16}) == std::vector<int>{16};
+    });
+  }
+  expect_bad("scales", "0.5,-1", [](const CliArgs& a) {
+    return a.get_double_list("scales", {0.125}) == std::vector<double>{0.125};
+  });
+  expect_bad("csv", "/nonexistent/x.csv", [](const CliArgs& a) {
+    return a.get_output("csv", "") == "/nonexistent/x.csv";
+  });
+  // The --key value form takes "-5" as the value and rejects it too.
+  const CliArgs kv = make_args({"prog", "--l2-hit", "-5"});
+  EXPECT_EQ(kv.get_int("l2-hit", 19), 19);
+  EXPECT_EQ(check(kv).first, 2);
+}
+
+TEST(Cli, WellFormedValuesParse) {
+  auto args = make_args({"prog", "--ws=4294967304", "--top=2147483647",
+                         "--zero=0", "--a=0.03125", "--b=1e-3", "--csv=x.csv",
+                         "--json=" + ::testing::TempDir()});
+  EXPECT_EQ(args.get_int<uint64_t>("ws", 0), 4294967304u);  // fits 64 bits
+  EXPECT_EQ(args.get_int("top", 0), 2147483647);
+  EXPECT_EQ(args.get_int<uint32_t>("zero", 5), 0u);
+  EXPECT_EQ(args.get_double("a", 0), 0.03125);
+  EXPECT_EQ(args.get_double("b", 0), 1e-3);
+  EXPECT_EQ(args.get_output("csv", ""), "x.csv");
+  EXPECT_EQ(args.get_output("json", ""), ::testing::TempDir());
+  EXPECT_EQ(args.get_output("out", ""), "");
+  EXPECT_EQ(args.check_unused(), 0);
+  for (const std::string w : {"1", "true", "yes", "on"}) {
+    EXPECT_TRUE(make_args({"prog", "--q=" + w}).get_bool("q", false)) << w;
+  }
+  for (const std::string w : {"0", "false", "no", "off"}) {
+    EXPECT_FALSE(make_args({"prog", "--q=" + w}).get_bool("q", true)) << w;
+  }
+}
+
 TEST(Cli, IntList) {
   auto args = make_args({"prog", "--cores=1,2,4,8"});
   EXPECT_EQ(args.get_int_list("cores", {}),
             (std::vector<int64_t>{1, 2, 4, 8}));
+  EXPECT_EQ(args.get_int_list<int>("cores", {}),
+            (std::vector<int>{1, 2, 4, 8}));
   auto def = make_args({"prog"});
   EXPECT_EQ(def.get_int_list("cores", {16}), (std::vector<int64_t>{16}));
 }
@@ -155,7 +237,15 @@ TEST(Cli, UnusedDetection) {
 }
 
 TEST(Cli, RejectsPositional) {
-  EXPECT_THROW(make_args({"prog", "oops"}), std::invalid_argument);
+  // Recorded, not thrown, so every binary reports it through
+  // check_unused() with exit 2 instead of dying on an exception.
+  auto args = make_args({"prog", "oops", "--a=1"});
+  EXPECT_EQ(args.get_int("a", 0), 1);
+  const auto [rc, err] = check(args);
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find("unexpected positional argument: oops"),
+            std::string::npos)
+      << err;
 }
 
 TEST(Cli, QueriedRecordsFlagVocabulary) {

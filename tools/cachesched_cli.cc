@@ -53,12 +53,9 @@
 //                        job order — byte-identical to an unsharded run;
 //                        missing records abort (listing the holes) unless
 //                        --allow-holes emits the partial matrix (exit 3)
-//   cachesched_cli perf  [--quick] [--reps=N] [--apps=a,b,...]
-//                        [--out=BENCH_sim.json]       # fixed perf suite;
-//                        diff two outputs with tools/perf_compare
-//   cachesched_cli perf --memory [--apps=mergesort] [--scale=1.0]
-//                        [--cores=8]    # deterministic DAG resident-size
-//                        report (trace arena + task metadata), no timing
+//   cachesched_cli memory [--apps=mergesort] [--scale=1.0] [--cores=8]
+//                        [--task-ws=BYTES]  # deterministic DAG resident-
+//                        size report (trace arena + task metadata)
 //   cachesched_cli paper [--only=fig2,...] [--jobs=N] [--csv=DIR]
 //                        # regenerate every paper figure and table
 //                        (artifact list and CSV names: tools/paper.cc)
@@ -75,18 +72,18 @@
 // (simarch/config.h) and accepted by run/trace/replay/sweep alike.
 //
 // Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage
-// error (unknown flags/subcommands, bad spec strings), 3 sweep completed
-// with quarantined jobs / merge assembled with holes, 4 an armed checker
-// caught an invariant violation (a crash reproducer was written), 130
-// interrupted by SIGINT/SIGTERM after a graceful drain. Errors go to
-// stderr. Every subcommand rejects unknown flags and unknown workload or
-// scheduler names (exit 2) before it builds a workload or writes a file.
+// error (unknown flags/subcommands, malformed flag values including an
+// output file whose directory does not exist, bad spec strings), 3 sweep
+// completed with quarantined jobs / merge assembled with holes, 4 an
+// armed checker caught an invariant violation (a crash reproducer was
+// written), 130 interrupted by SIGINT/SIGTERM after a graceful drain.
+// Errors go to stderr. Every subcommand rejects these usage errors (exit
+// 2) before it builds a workload or writes a file.
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -102,7 +99,6 @@
 #include "robust/errors.h"
 #include "robust/faultinject.h"
 #include "sched/registry.h"
-#include "perf/suite.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -145,27 +141,22 @@ int arm_faults_from_cli(const CliArgs& args) {
 /// run/trace/replay (via config_from_args) and sweep (via SweepSpec).
 ConfigOverrides overrides_from_args(const CliArgs& args) {
   ConfigOverrides o;
-  if (args.has("l2-hit")) {
-    o.l2_hit_cycles = static_cast<int>(args.get_int("l2-hit", 0));
-  }
+  if (args.has("l2-hit")) o.l2_hit_cycles = args.get_int("l2-hit", 0);
   if (args.has("mem-latency")) {
-    o.mem_latency_cycles = static_cast<int>(args.get_int("mem-latency", 0));
+    o.mem_latency_cycles = args.get_int("mem-latency", 0);
   }
-  if (args.has("banks")) {
-    o.l2_banks = static_cast<int>(args.get_int("banks", 0));
-  }
+  if (args.has("banks")) o.l2_banks = args.get_int("banks", 0);
   if (args.has("dispatch")) {
-    o.task_dispatch_cycles =
-        static_cast<uint32_t>(args.get_int("dispatch", 0));
+    o.task_dispatch_cycles = args.get_int<uint32_t>("dispatch", 0);
   }
   if (args.has("quantum")) {
-    o.quantum_cycles = static_cast<uint64_t>(args.get_int("quantum", 0));
+    o.quantum_cycles = args.get_int<uint64_t>("quantum", 0);
   }
   return o;
 }
 
 CmpConfig config_from_args(const CliArgs& args) {
-  const int cores = static_cast<int>(args.get_int("cores", 8));
+  const int cores = args.get_int("cores", 8);
   const std::string tech = args.get("tech", "default");
   CmpConfig cfg = tech == "45nm" ? single_tech_45nm_config(cores)
                                  : default_config(cores);
@@ -220,7 +211,7 @@ struct CheckFlags {
 
 int check_flags_from_args(const CliArgs& args, CheckFlags* out) {
   const std::string cs = args.get("check", "");
-  out->repro_out = args.get("repro-out", "crash.repro");
+  out->repro_out = args.get_output("repro-out", "crash.repro");
   try {
     if (!cs.empty()) out->check = check::CheckSpec::parse(cs);
   } catch (const std::invalid_argument& e) {
@@ -288,7 +279,7 @@ check::CrashRepro base_repro(const CliArgs& args, const CheckFlags& cf,
                              const AppOptions& opt) {
   check::CrashRepro r;
   r.tech = args.get("tech", "default");
-  r.cores = static_cast<int>(args.get_int("cores", 8));
+  r.cores = args.get_int("cores", 8);
   r.scale = opt.scale;
   r.task_ws = opt.mergesort_task_ws;
   r.fine_grained = opt.fine_grained;
@@ -302,7 +293,7 @@ int cmd_run(const CliArgs& args) {
   const CmpConfig cfg = config_from_args(args);
   AppOptions opt;
   opt.scale = args.get_double("scale", 0.125);
-  opt.mergesort_task_ws = static_cast<uint64_t>(args.get_int("task-ws", 0));
+  opt.mergesort_task_ws = args.get_int<uint64_t>("task-ws", 0);
   opt.fine_grained = args.get_bool("fine-grained", true);
   const std::string app = args.get("app", "mergesort");
   if (const int rc = check_apps({app})) return rc;
@@ -322,7 +313,7 @@ int cmd_run(const CliArgs& args) {
 }
 
 int cmd_trace(const CliArgs& args) {
-  const std::string out = args.get("out", "");
+  const std::string out = args.get_output("out", "");
   if (out.empty()) {
     std::cerr << "trace: --out=FILE required\n";
     return 2;
@@ -439,15 +430,14 @@ SweepSpec spec_from_args(const CliArgs& args) {
   if (args.get("cores", "") == "all") {
     spec.core_counts.clear();  // every configuration of the tech table
   } else {
-    const auto cores = args.get_int_list("cores", {1, 2, 4, 8, 16, 32});
-    spec.core_counts.assign(cores.begin(), cores.end());
+    spec.core_counts = args.get_int_list<int>("cores", {1, 2, 4, 8, 16, 32});
   }
   spec.scales =
       args.get_double_list("scales", {args.get_double("scale", 0.125)});
   spec.tech = args.get("tech", "default");
   spec.sequential_baseline = args.get_bool("seq", false);
   spec.fine_grained = args.get_bool("fine-grained", true);
-  spec.mergesort_task_ws = static_cast<uint64_t>(args.get_int("task-ws", 0));
+  spec.mergesort_task_ws = args.get_int<uint64_t>("task-ws", 0);
   spec.overrides = overrides_from_args(args);
   return spec;
 }
@@ -459,17 +449,16 @@ int cmd_sweep(const CliArgs& args) {
   if (const int rc = arm_faults_from_cli(args)) return rc;
 
   SweepOptions opt;
-  opt.workers = static_cast<int>(args.get_int("jobs", 0));
-  opt.job_timeout_ms = static_cast<uint64_t>(args.get_int("job-timeout", 0));
-  opt.job_retries = static_cast<int>(args.get_int("retries", 0));
-  opt.retry_backoff_ms =
-      static_cast<uint64_t>(args.get_int("retry-backoff", 10));
+  opt.workers = args.get_int("jobs", 0);
+  opt.job_timeout_ms = args.get_int<uint64_t>("job-timeout", 0);
+  opt.job_retries = args.get_int("retries", 0);
+  opt.retry_backoff_ms = args.get_int<uint64_t>("retry-backoff", 10);
   // The CLI is sweep-as-a-service: one bad job is reported and skipped
   // (exit 3) rather than aborting the whole matrix. The library default
   // stays fail-fast; pass --quarantine=false to get it back.
   opt.quarantine = args.get_bool("quarantine", true);
   const std::string check_spec = args.get("check", "");
-  const std::string repro_out = args.get("repro-out", "crash.repro");
+  const std::string repro_out = args.get_output("repro-out", "crash.repro");
   try {
     if (!check_spec.empty()) opt.check = check::CheckSpec::parse(check_spec);
   } catch (const std::invalid_argument& e) {
@@ -483,8 +472,8 @@ int cmd_sweep(const CliArgs& args) {
                    r.job.app.c_str(), r.job.sched.c_str(), r.job.config.cores);
     };
   }
-  const std::string csv = args.get("csv", "");
-  const std::string json = args.get("json", "");
+  const std::string csv = args.get_output("csv", "");
+  const std::string json = args.get_output("json", "");
   const std::string store_dir = args.get("store", "");
   const bool resume = args.get_bool("resume", false);
   const std::string shard = args.get("shard", "");
@@ -638,8 +627,8 @@ int cmd_sweep_merge(const CliArgs& args) {
   if (const int rc = check_apps(spec.apps)) return rc;
   if (const int rc = check_scheds(spec.scheds)) return rc;
   if (const int rc = arm_faults_from_cli(args)) return rc;
-  const std::string csv = args.get("csv", "");
-  const std::string json = args.get("json", "");
+  const std::string csv = args.get_output("csv", "");
+  const std::string json = args.get_output("json", "");
   const std::string store_dir = args.get("store", "");
   const bool allow_holes = args.get_bool("allow-holes", false);
   // Execution-only sweep flags, accepted and ignored so the documented
@@ -647,9 +636,9 @@ int cmd_sweep_merge(const CliArgs& args) {
   // works verbatim (merge only loads records, it runs nothing).
   args.get_int("jobs", 0);
   args.get_bool("progress", false);
-  args.get_int("job-timeout", 0);
+  args.get_int<uint64_t>("job-timeout", 0);
   args.get_int("retries", 0);
-  args.get_int("retry-backoff", 0);
+  args.get_int<uint64_t>("retry-backoff", 0);
   args.get_bool("quarantine", true);
   args.get("check", "");
   args.get("repro-out", "");
@@ -688,17 +677,17 @@ int cmd_sweep_merge(const CliArgs& args) {
   return holes.empty() ? kExitOk : kExitQuarantinedHoles;
 }
 
-/// `perf --memory`: deterministic resident-size report (no timing) for
-/// the paper-scale footprint question — peak trace-arena and
-/// task-metadata bytes of the built DAG, per workload.
-int cmd_perf_memory(const CliArgs& args) {
+/// `memory`: deterministic resident-size report (no timing) for the
+/// paper-scale footprint question — peak trace-arena and task-metadata
+/// bytes of the built DAG, per workload.
+int cmd_memory(const CliArgs& args) {
   const double scale = args.get_double("scale", 1.0);
-  const int cores = static_cast<int>(args.get_int("cores", 8));
+  const int cores = args.get_int("cores", 8);
   const std::vector<std::string> apps =
       split_workload_list(args.get("apps", "mergesort"));
   AppOptions opt;
   opt.scale = scale;
-  opt.mergesort_task_ws = static_cast<uint64_t>(args.get_int("task-ws", 0));
+  opt.mergesort_task_ws = args.get_int<uint64_t>("task-ws", 0);
   if (const int rc = args.check_unused()) return rc;
   if (const int rc = check_apps(apps)) return rc;
   const CmpConfig cfg = default_config(cores).scaled(scale);
@@ -723,30 +712,6 @@ int cmd_perf_memory(const CliArgs& args) {
   std::cout << "DAG memory at scale " << scale << " (cores=" << cores
             << "):\n";
   t.emit();
-  return 0;
-}
-
-int cmd_perf(const CliArgs& args) {
-  if (args.get_bool("memory", false)) return cmd_perf_memory(args);
-  perf::SuiteOptions opt;
-  opt.quick = args.get_bool("quick", false);
-  opt.reps = static_cast<int>(args.get_int("reps", 0));
-  if (args.has("apps")) opt.apps = split_workload_list(args.get("apps", ""));
-  const std::string out = args.get("out", "BENCH_sim.json");
-  if (const int rc = args.check_unused()) return rc;
-  if (const int rc = check_apps(opt.apps)) return rc;
-
-  opt.on_benchmark = [](const perf::Benchmark& b) {
-    std::fprintf(stderr, "  %-24s %10.2f %s  (min %.3fs over %d reps)\n",
-                 b.name.c_str(), b.value, b.metric.c_str(), b.stats.min,
-                 b.stats.reps);
-  };
-  std::cerr << "perf: running " << (opt.quick ? "quick" : "full")
-            << " suite\n";
-  const perf::Report rep = perf::run_suite(opt);
-  rep.write(out);
-  std::cout << "wrote " << rep.benchmarks.size() << " benchmarks to " << out
-            << "\n";
   return 0;
 }
 
@@ -789,7 +754,7 @@ int cmd_configs(const CliArgs& args) {
 int usage() {
   std::cerr << "usage: cachesched_cli "
                "{run|trace|replay|replay-crash|configs|list|sweep|"
-               "sweep merge|perf|paper} [options]\n"
+               "sweep merge|memory|paper} [options]\n"
                "see the header of tools/cachesched_cli.cc for options\n";
   return kExitUsage;
 }
@@ -830,7 +795,7 @@ int main(int argc, char** argv) {
     else if (cmd == "configs") rc = cmd_configs(args);
     else if (cmd == "list") rc = cmd_list(args);
     else if (cmd == "sweep") rc = cmd_sweep(args);
-    else if (cmd == "perf") rc = cmd_perf(args);
+    else if (cmd == "memory") rc = cmd_memory(args);
     else if (cmd == "paper") rc = cmd_paper(args);
     else return usage();
     // Subcommands that already failed (including on their own

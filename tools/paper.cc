@@ -926,7 +926,7 @@ constexpr Artifact kArtifacts[] = {
 
 int cmd_paper(const CliArgs& args) {
   Paper p;
-  p.jobs = static_cast<int>(args.get_int("jobs", 0));
+  p.jobs = args.get_int("jobs", 0);
   p.csv_dir = args.get("csv", "");
   const std::vector<std::string> only = args.get_list("only", "");
   if (const int rc = args.check_unused()) return rc;

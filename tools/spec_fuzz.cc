@@ -189,7 +189,6 @@ std::vector<Grammar> make_grammars() {
       {"fault",
        {"store.write.short", "store.write.short:every=3",
         "engine.stall:every=5,ms=10,max=2",
-        "sched.dispatch.stall:every=7,ms=1,seed=9",
         "store.rename.fail:every=2;store.read.torrent:every=3,seed=5,max=4",
         "alloc.workload_build:every=2;engine.stall:every=4,ms=1"},
        &parse_fault});
@@ -219,9 +218,8 @@ std::vector<Grammar> make_grammars() {
 
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
-  const uint64_t iters =
-      static_cast<uint64_t>(args.get_int("iters", 10000));
-  const uint64_t seed = static_cast<uint64_t>(args.get_int("seed", 1));
+  const uint64_t iters = args.get_int<uint64_t>("iters", 10000);
+  const uint64_t seed = args.get_int<uint64_t>("seed", 1);
   const std::vector<std::string> wanted =
       args.get_list("grammars", "gen,sched,fault,check,repro");
 
