@@ -52,9 +52,8 @@ CoarsenResult select_task_granularity(const TaskDag& dag,
       continue;
     }
     // Push children in reverse so they pop in sequential order.
-    for (size_t i = grp.children.size(); i-- > 0;) {
-      stack.push_back(grp.children[i]);
-    }
+    const std::span<const GroupId> children = dag.group_children(g);
+    stack.insert(stack.end(), children.rbegin(), children.rend());
   }
   std::sort(stopping.begin(), stopping.end(),
             [&](GroupId a, GroupId b) {
@@ -109,19 +108,19 @@ TaskDag coarsen_dag(const TaskDag& dag,
     std::sort(p.begin(), p.end());
     p.erase(std::unique(p.begin(), p.end()), p.end());
   }
-  // Rebuild: members of a collapsed group contribute their blocks in
+  // Rebuild over the source's arena: a collapsed group's members are
+  // consecutive tasks, so their blocks are one contiguous run of it, in
   // sequential order (a serial execution of the group's code).
-  DagBuilder b;
-  std::vector<RefBlock> blocks;
+  DagBuilder b(dag);
   for (TaskId t = 0; t < n; ++t) {
     if (t > 0 && node[t] == node[t - 1]) continue;
-    blocks.clear();
+    uint32_t num_blocks = 0;
     for (TaskId m = t; m < n && node[m] == node[t]; ++m) {
-      for (const PackedRef& p : dag.blocks(m)) blocks.push_back(dag.unpack(p));
+      num_blocks += dag.task(m).num_blocks;
     }
     const auto& par = parents[node[t]];
-    b.add_task(std::span<const TaskId>(par.data(), par.size()),
-               std::span<const RefBlock>(blocks.data(), blocks.size()));
+    b.add_task_over(std::span<const TaskId>(par.data(), par.size()),
+                    num_blocks);
   }
   return b.finish();
 }

@@ -88,8 +88,9 @@ CoarsenResult select_task_granularity(const TaskDag& dag,
 
 /// Collapses each stopping group into one serial task ("dag" mode). Tasks
 /// outside every stopping group survive unchanged. Dependencies are the
-/// quotient of the original edges; group annotations of surviving levels
-/// are preserved.
+/// quotient of the original edges. The result shares `dag`'s trace arena
+/// (each task is a contiguous run of it) and has no task groups; it stays
+/// valid after `dag` is destroyed.
 TaskDag coarsen_dag(const TaskDag& dag,
                     const std::vector<GroupId>& stopping_groups);
 

@@ -28,30 +28,63 @@ uint64_t TaskDag::node_depth() const {
   return depth;
 }
 
-void TaskDag::build_interleave_fast() {
-  inter_fast_.clear();
-  inter_fast_.reserve(inter_.size());
-  for (const InterleaveSide& sd : inter_) {
-    inter_fast_.push_back(make_interleave_fast(sd));
+void TraceArena::build_interleave_fast() {
+  inter_fast.clear();
+  inter_fast.reserve(inter.size());
+  for (const InterleaveSide& sd : inter) {
+    inter_fast.push_back(make_interleave_fast(sd));
+  }
+}
+
+void TaskDag::build_group_children() {
+  for (const TaskGroup& g : groups_) {
+    if (g.parent != kNoGroup) ++groups_[g.parent].num_children;
+  }
+  uint32_t next = 0;
+  for (TaskGroup& g : groups_) {
+    g.first_child = next;
+    next += g.num_children;
+    g.num_children = 0;
+  }
+  group_child_edges_.assign(next, kNoGroup);
+  for (GroupId g = 0; g < groups_.size(); ++g) {
+    const GroupId p = groups_[g].parent;
+    if (p == kNoGroup) continue;
+    TaskGroup& pg = groups_[p];
+    group_child_edges_[pg.first_child + pg.num_children++] = g;
   }
 }
 
 TaskDag::MemoryStats TaskDag::memory_stats() const {
   MemoryStats m;
-  m.trace_arena_bytes = blocks_.capacity() * sizeof(PackedRef) +
-                        inter_.capacity() * sizeof(InterleaveSide) +
-                        inter_fast_.capacity() * sizeof(InterleaveFast);
+  if (arena_) {
+    m.trace_arena_bytes =
+        arena_->blocks.capacity() * sizeof(PackedRef) +
+        arena_->inter.capacity() * sizeof(InterleaveSide) +
+        arena_->inter_fast.capacity() * sizeof(InterleaveFast);
+  }
   m.task_bytes = tasks_.capacity() * sizeof(Task);
   m.edge_bytes = child_edges_.capacity() * sizeof(TaskId) +
                  roots_.capacity() * sizeof(TaskId);
-  m.group_bytes = groups_.capacity() * sizeof(TaskGroup);
-  for (const TaskGroup& g : groups_) {
-    m.group_bytes += g.children.capacity() * sizeof(GroupId);
-  }
+  m.group_bytes = groups_.capacity() * sizeof(TaskGroup) +
+                  group_child_edges_.capacity() * sizeof(GroupId);
   return m;
 }
 
 std::string TaskDag::validate() const {
+  // Block ranges tile the arena in task order: every block belongs to
+  // exactly one task, so total_refs() is what a replay executes.
+  uint64_t next_block = 0;
+  for (TaskId t = 0; t < tasks_.size(); ++t) {
+    if (tasks_[t].first_block != next_block) {
+      return "block ranges do not tile the arena in task order at task " +
+             std::to_string(t);
+    }
+    next_block += tasks_[t].num_blocks;
+  }
+  if (next_block != (arena_ ? arena_->blocks.size() : 0)) {
+    return "block ranges do not cover the arena";
+  }
   for (TaskId t = 0; t < tasks_.size(); ++t) {
     for (TaskId c : children(t)) {
       if (c <= t) {
@@ -83,7 +116,7 @@ std::string TaskDag::validate() const {
     if (grp.first_task > grp.last_task) return "empty/inverted group";
     TaskId prev_end = 0;
     bool first = true;
-    for (GroupId c : grp.children) {
+    for (GroupId c : group_children(g)) {
       const TaskGroup& ch = groups_[c];
       if (ch.parent != g) return "group parent link broken";
       if (ch.first_task < grp.first_task || ch.last_task > grp.last_task) {
@@ -99,7 +132,12 @@ std::string TaskDag::validate() const {
   return "";
 }
 
-DagBuilder::DagBuilder() = default;
+DagBuilder::DagBuilder() : arena_(std::make_shared<TraceArena>()) {}
+
+DagBuilder::DagBuilder(const TaskDag& source) {
+  dag_.arena_ =
+      source.arena_ ? source.arena_ : std::make_shared<const TraceArena>();
+}
 
 GroupId DagBuilder::begin_group(const char* file, int line, int64_t param,
                                 bool children_parallel) {
@@ -112,11 +150,8 @@ GroupId DagBuilder::begin_group(const char* file, int line, int64_t param,
   g.first_task = static_cast<TaskId>(dag_.tasks_.size());
   g.last_task = g.first_task;  // fixed up at end_group
   const GroupId id = static_cast<GroupId>(dag_.groups_.size());
-  if (!group_stack_.empty()) {
-    g.parent = group_stack_.back();
-    dag_.groups_[g.parent].children.push_back(id);
-  }
-  dag_.groups_.push_back(std::move(g));
+  if (!group_stack_.empty()) g.parent = group_stack_.back();
+  dag_.groups_.push_back(g);
   group_stack_.push_back(id);
   return id;
 }
@@ -136,17 +171,45 @@ void DagBuilder::end_group() {
 TaskId DagBuilder::add_task(std::span<const TaskId> parents,
                             std::span<const RefBlock> blocks) {
   if (finished_) throw std::logic_error("builder already finished");
-  const TaskId id = static_cast<TaskId>(dag_.tasks_.size());
+  if (!arena_) {
+    throw std::logic_error("builder shares an arena; use add_task_over");
+  }
   Task t;
-  t.first_block = static_cast<uint32_t>(dag_.blocks_.size());
+  t.first_block = static_cast<uint32_t>(arena_->blocks.size());
   t.num_blocks = static_cast<uint32_t>(blocks.size());
-  t.num_parents = static_cast<uint32_t>(parents.size());
-  t.group = group_stack_.empty() ? kNoGroup : group_stack_.back();
   for (const RefBlock& b : blocks) {
     t.work += b.total_instr();
     dag_.total_refs_ += b.total_refs();
-    dag_.blocks_.push_back(pack_ref(b, &dag_.inter_));
+    arena_->blocks.push_back(pack_ref(b, &arena_->inter));
   }
+  return add_task_record(parents, t);
+}
+
+TaskId DagBuilder::add_task_over(std::span<const TaskId> parents,
+                                 uint32_t num_blocks) {
+  if (finished_) throw std::logic_error("builder already finished");
+  if (arena_) {
+    throw std::logic_error("add_task_over needs a builder over a DAG");
+  }
+  const std::vector<PackedRef>& arena = dag_.arena_->blocks;
+  if (uint64_t{next_block_} + num_blocks > arena.size()) {
+    throw std::invalid_argument("task runs past the end of the shared arena");
+  }
+  Task t;
+  t.first_block = next_block_;
+  t.num_blocks = num_blocks;
+  for (uint32_t i = 0; i < num_blocks; ++i) {
+    t.work += arena[next_block_ + i].total_instr();
+    dag_.total_refs_ += arena[next_block_ + i].total_refs();
+  }
+  next_block_ += num_blocks;
+  return add_task_record(parents, t);
+}
+
+TaskId DagBuilder::add_task_record(std::span<const TaskId> parents, Task t) {
+  const TaskId id = static_cast<TaskId>(dag_.tasks_.size());
+  t.num_parents = static_cast<uint32_t>(parents.size());
+  t.group = group_stack_.empty() ? kNoGroup : group_stack_.back();
   dag_.total_work_ += t.work;
   for (TaskId p : parents) {
     if (p >= id) {
@@ -162,6 +225,9 @@ TaskId DagBuilder::add_task(std::span<const TaskId> parents,
 TaskDag DagBuilder::finish() {
   if (finished_) throw std::logic_error("builder already finished");
   if (!group_stack_.empty()) throw std::logic_error("unclosed task group");
+  if (!arena_ && next_block_ != dag_.arena_->blocks.size()) {
+    throw std::logic_error("tasks do not cover the shared arena");
+  }
   finished_ = true;
   // CSR for child edges. Edges were appended per-child; sort by parent,
   // keeping insertion (spawn) order within a parent via stable_sort.
@@ -183,7 +249,11 @@ TaskDag DagBuilder::finish() {
   for (TaskId t = 0; t < dag_.tasks_.size(); ++t) {
     if (dag_.tasks_[t].num_parents == 0) dag_.roots_.push_back(t);
   }
-  dag_.build_interleave_fast();
+  dag_.build_group_children();
+  if (arena_) {
+    arena_->build_interleave_fast();
+    dag_.arena_ = std::move(arena_);
+  }
   return std::move(dag_);
 }
 

@@ -4,10 +4,16 @@
 // working-set profiler and automatic coarsening (paper §6): each group is a
 // range of consecutive tasks in sequential order, annotated with the
 // spawning call site and its size parameter.
+//
+// Each thing is stored once. The tasks' reference blocks live in one
+// immutable arena in task order, shared by every DAG that replays them (a
+// coarsened DAG points at its source's arena); child tasks and child groups
+// are flat CSR lists.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,15 +40,28 @@ struct TaskGroup {
   GroupId parent = kNoGroup;
   TaskId first_task = 0;      // inclusive
   TaskId last_task = 0;       // inclusive; empty groups are disallowed
-  std::vector<GroupId> children;
-  const char* file = "";      // spawning call site (Figure 7)
+  uint32_t first_child = 0;   // index into the group-child CSR
+  uint32_t num_children = 0;  // (TaskDag::group_children)
   int line = 0;
+  const char* file = "";      // spawning call site (Figure 7)
   int64_t param = 0;          // problem-size parameter at this site
   /// True if the children of this group are mutually independent (can run
   /// in parallel); the coarsening criterion is applied per independent set.
   bool children_parallel = true;
 
   uint64_t num_tasks() const { return uint64_t{last_task} - first_task + 1; }
+};
+
+/// Every task's packed reference blocks, in task order, plus the
+/// kInterleave side tables. Immutable once built; held by shared_ptr so a
+/// derived DAG (coarsen_dag) replays its source's blocks without a copy.
+struct TraceArena {
+  std::vector<PackedRef> blocks;           // 32 B per block
+  std::vector<InterleaveSide> inter;       // kInterleave stream data
+  std::vector<InterleaveFast> inter_fast;  // derived, parallel to inter
+
+  /// (Re)builds inter_fast from inter.
+  void build_interleave_fast();
 };
 
 class TaskDag {
@@ -59,31 +78,41 @@ class TaskDag {
     return {child_edges_.data() + n.first_child, n.num_children};
   }
 
+  /// The group's child groups, in sequential order.
+  std::span<const GroupId> group_children(GroupId g) const {
+    const TaskGroup& grp = groups_[g];
+    return {group_child_edges_.data() + grp.first_child, grp.num_children};
+  }
+
   /// The task's reference blocks in the compact storage form; kInterleave
   /// blocks index into interleave_data().
   std::span<const PackedRef> blocks(TaskId t) const {
     const Task& n = tasks_[t];
-    return {blocks_.data() + n.first_block, n.num_blocks};
+    return {arena_->blocks.data() + n.first_block, n.num_blocks};
   }
 
   /// Side table holding kInterleave stream data (PackedRef::side_index).
-  const InterleaveSide* interleave_data() const { return inter_.data(); }
+  const InterleaveSide* interleave_data() const {
+    return arena_ ? arena_->inter.data() : nullptr;
+  }
 
   /// Derived expansion constants, one per interleave_data() entry (same
-  /// side_index), built once at DAG construction so the simulator's
-  /// refill re-derives nothing per block (see InterleaveFast).
-  const InterleaveFast* interleave_fast() const { return inter_fast_.data(); }
+  /// side_index), built once per arena so the simulator's refill
+  /// re-derives nothing per block (see InterleaveFast).
+  const InterleaveFast* interleave_fast() const {
+    return arena_ ? arena_->inter_fast.data() : nullptr;
+  }
 
   /// Reconstructs the builder-facing descriptor of one of this DAG's
-  /// packed blocks (used when re-building a derived DAG, e.g. coarsening).
+  /// packed blocks (dag_io writes blocks in this form).
   RefBlock unpack(const PackedRef& p) const {
-    return unpack_ref(p, inter_.data());
+    return unpack_ref(p, arena_->inter.data());
   }
 
   TraceCursor cursor(TaskId t) const {
     const Task& n = tasks_[t];
-    return TraceCursor(blocks_.data() + n.first_block, n.num_blocks,
-                       inter_.data());
+    return TraceCursor(arena_->blocks.data() + n.first_block, n.num_blocks,
+                       arena_->inter.data());
   }
 
   /// Tasks with no parents, in sequential order.
@@ -102,18 +131,21 @@ class TaskDag {
   /// Longest path measured in tasks.
   uint64_t node_depth() const;
 
-  /// Checks structural invariants (edges forward in sequential order, group
-  /// nesting well-formed, ...). Returns an empty string when valid, else a
+  /// Checks structural invariants (edges forward in sequential order, the
+  /// tasks' block ranges tiling the arena in task order, group nesting
+  /// well-formed, ...). Returns an empty string when valid, else a
   /// description of the first violation. Used by tests and the builder.
   std::string validate() const;
 
   /// Resident byte sizes of the DAG's components — the "memory at paper
-  /// scale" accounting reported by `cachesched_cli memory`.
+  /// scale" accounting reported by `cachesched_cli memory`. A DAG that
+  /// shares its arena with another (a coarsened DAG and its source) counts
+  /// all of the arena, so the two DAGs' totals overlap.
   struct MemoryStats {
     uint64_t trace_arena_bytes = 0;  // PackedRef arena + interleave tables
     uint64_t task_bytes = 0;         // Task records
     uint64_t edge_bytes = 0;         // child-edge CSR + roots
-    uint64_t group_bytes = 0;        // TaskGroup records + children vectors
+    uint64_t group_bytes = 0;        // TaskGroup records + group-child CSR
     uint64_t total() const {
       return trace_arena_bytes + task_bytes + edge_bytes + group_bytes;
     }
@@ -123,15 +155,16 @@ class TaskDag {
  private:
   friend class DagBuilder;
   friend TaskDag load_dag(const std::string& path);  // core/dag_io.h
-  /// (Re)builds inter_fast_ from inter_; called wherever a TaskDag is
-  /// assembled (DagBuilder::finish, load_dag).
-  void build_interleave_fast();
+  /// Builds the group-child CSR from the groups' parent links (a parent
+  /// precedes its children, which are listed in id order; every
+  /// num_children starts at 0); called wherever a TaskDag is assembled
+  /// (DagBuilder::finish, load_dag).
+  void build_group_children();
   std::vector<Task> tasks_;
-  std::vector<PackedRef> blocks_;        // flat arena, 32 B per block
-  std::vector<InterleaveSide> inter_;    // kInterleave stream side table
-  std::vector<InterleaveFast> inter_fast_;  // derived, parallel to inter_
+  std::shared_ptr<const TraceArena> arena_;  // null only in an empty DAG
   std::vector<TaskId> child_edges_;
   std::vector<TaskGroup> groups_;
+  std::vector<GroupId> group_child_edges_;
   std::vector<TaskId> roots_;
   uint64_t total_work_ = 0;
   uint64_t total_refs_ = 0;
@@ -145,6 +178,12 @@ class TaskDag {
 class DagBuilder {
  public:
   DagBuilder();
+
+  /// Builds a DAG over `source`'s trace arena instead of a new one: tasks
+  /// are added with add_task_over, each taking the next run of the arena's
+  /// blocks, and finish() requires that they take all of it. The result
+  /// shares the arena and stays valid after `source` is destroyed.
+  explicit DagBuilder(const TaskDag& source);
 
   /// Opens a task group at call site (file, line) with size parameter
   /// `param`. Groups nest; all tasks added before the matching end_group()
@@ -183,13 +222,22 @@ class DagBuilder {
                     std::span<const RefBlock>(blocks.data(), blocks.size()));
   }
 
+  /// Adds a task depending on `parents` whose trace is the next
+  /// `num_blocks` blocks of the shared arena (DagBuilder(const TaskDag&)).
+  TaskId add_task_over(std::span<const TaskId> parents, uint32_t num_blocks);
+
   size_t num_tasks() const { return dag_.tasks_.size(); }
 
   /// Finalizes edge CSR and roots; the builder must not be reused after.
   TaskDag finish();
 
  private:
+  TaskId add_task_record(std::span<const TaskId> parents, Task t);
+
   TaskDag dag_;
+  std::shared_ptr<TraceArena> arena_;  // the arena being built; null when
+                                       // the builder shares dag_.arena_
+  uint32_t next_block_ = 0;            // shared arena: next unclaimed block
   std::vector<std::pair<TaskId, TaskId>> edges_;  // (parent, child)
   std::vector<GroupId> group_stack_;
   bool finished_ = false;

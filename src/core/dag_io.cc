@@ -12,7 +12,10 @@
 namespace cachesched {
 namespace {
 
-constexpr uint64_t kMagic = 0x4341534447303031ull;  // "CASDG001"
+// Version 2 added RefBlock::period (wrapped strides); version 1 files
+// lay RefBlocks out differently and are rejected by name.
+constexpr uint64_t kMagic = 0x4341534447303032ull;    // "CASDG002"
+constexpr uint64_t kMagicV1 = 0x4341534447303031ull;  // "CASDG001"
 
 static_assert(std::is_trivially_copyable_v<Task>);
 static_assert(std::is_trivially_copyable_v<RefBlock>);
@@ -104,7 +107,8 @@ void save_dag(const TaskDag& dag, const std::string& path) {
 
   // Tasks, blocks, edges (reassembled from public accessors). Blocks are
   // written in the builder-facing RefBlock form, so the file format is
-  // independent of the in-memory packed layout.
+  // independent of the in-memory packed layout. Group children are not
+  // written: load_dag rebuilds them from the parent links.
   std::vector<Task> tasks;
   std::vector<RefBlock> blocks;
   std::vector<TaskId> edges;
@@ -131,8 +135,6 @@ void save_dag(const TaskDag& dag, const std::string& path) {
     write_pod<int32_t>(f, grp.line);
     write_pod<int64_t>(f, grp.param);
     write_pod<uint8_t>(f, grp.children_parallel ? 1 : 0);
-    write_pod<uint64_t>(f, grp.children.size());
-    for (GroupId c : grp.children) write_pod<uint32_t>(f, c);
   }
 }
 
@@ -140,7 +142,14 @@ TaskDag load_dag(const std::string& path) {
   File file(std::fopen(path.c_str(), "rb"));
   if (!file.f) throw std::runtime_error("dag_io: cannot open " + path);
   std::FILE* f = file.f;
-  if (read_pod<uint64_t>(f) != kMagic) {
+  const uint64_t magic = read_pod<uint64_t>(f);
+  if (magic == kMagicV1) {
+    throw std::runtime_error(
+        "dag_io: " + path +
+        " is a CASDG001 (version 1) DAG file; this build reads CASDG002 "
+        "only, so collect the trace again with `cachesched_cli trace`");
+  }
+  if (magic != kMagic) {
     throw std::runtime_error("dag_io: bad magic (not a cachesched DAG?)");
   }
 
@@ -165,8 +174,12 @@ TaskDag load_dag(const std::string& path) {
   const uint64_t num_groups = read_pod<uint64_t>(f);
   if (num_groups > kMaxElems) throw std::runtime_error("dag_io: bad groups");
   dag.groups_.resize(num_groups);
-  for (TaskGroup& grp : dag.groups_) {
+  for (GroupId g = 0; g < num_groups; ++g) {
+    TaskGroup& grp = dag.groups_[g];
     grp.parent = read_pod<uint32_t>(f);
+    if (grp.parent != kNoGroup && grp.parent >= g) {
+      throw std::runtime_error("dag_io: group parent does not precede it");
+    }
     grp.first_task = read_pod<uint32_t>(f);
     grp.last_task = read_pod<uint32_t>(f);
     const uint32_t file_idx = read_pod<uint32_t>(f);
@@ -177,25 +190,13 @@ TaskDag load_dag(const std::string& path) {
     grp.line = read_pod<int32_t>(f);
     grp.param = read_pod<int64_t>(f);
     grp.children_parallel = read_pod<uint8_t>(f) != 0;
-    const uint64_t nch = read_pod<uint64_t>(f);
-    if (nch > kMaxElems) throw std::runtime_error("dag_io: bad children");
-    grp.children.resize(nch);
-    for (GroupId& c : grp.children) c = read_pod<uint32_t>(f);
   }
+  dag.build_group_children();
 
-  // Recompute derived state and check structural sanity.
-  dag.total_work_ = 0;
-  dag.total_refs_ = 0;
-  for (const Task& t : dag.tasks_) {
-    if (uint64_t{t.first_block} + t.num_blocks > raw_blocks.size() ||
-        uint64_t{t.first_child} + t.num_children > dag.child_edges_.size()) {
-      throw std::runtime_error("dag_io: task ranges out of bounds");
-    }
-    dag.total_work_ += t.work;
-  }
-  // RefBlocks are read raw; reject values the factories can never produce
-  // before the expansion paths trust them (a zero instr_per_ref, a bad
-  // kind byte or an out-of-range stream count would corrupt a replay).
+  // Recompute derived state and check structural sanity. RefBlocks are
+  // read raw; reject values the factories can never produce before the
+  // expansion paths trust them (a zero instr_per_ref, a bad kind byte or
+  // an out-of-range stream count would corrupt a replay).
   for (const RefBlock& b : raw_blocks) {
     if (b.kind > RefKind::kInterleave) {
       throw std::runtime_error("dag_io: invalid block kind");
@@ -206,6 +207,9 @@ TaskDag load_dag(const std::string& path) {
     }
     if (b.kind == RefKind::kRandom && b.region_len == 0) {
       throw std::runtime_error("dag_io: random block with empty region");
+    }
+    if (b.kind != RefKind::kStride && b.period != 0) {
+      throw std::runtime_error("dag_io: wrap period on a non-stride block");
     }
     if (b.kind == RefKind::kInterleave) {
       if (b.num_streams < 1 || b.num_streams > kMaxStreams) {
@@ -220,13 +224,34 @@ TaskDag load_dag(const std::string& path) {
     }
     dag.total_refs_ += b.total_refs();
   }
+  // A task's work is derived from its blocks; a file that says otherwise
+  // would skew total_work(), weighted_depth() and work-keyed priorities.
+  for (TaskId t = 0; t < dag.tasks_.size(); ++t) {
+    const Task& task = dag.tasks_[t];
+    if (uint64_t{task.first_block} + task.num_blocks > raw_blocks.size() ||
+        uint64_t{task.first_child} + task.num_children >
+            dag.child_edges_.size()) {
+      throw std::runtime_error("dag_io: task ranges out of bounds");
+    }
+    uint64_t work = 0;
+    for (uint32_t i = 0; i < task.num_blocks; ++i) {
+      work += raw_blocks[task.first_block + i].total_instr();
+    }
+    if (work != task.work) {
+      throw std::runtime_error("dag_io: task " + std::to_string(t) +
+                               " work disagrees with its blocks");
+    }
+    dag.total_work_ += work;
+  }
   // Pack into the in-memory arena; indices are preserved one-to-one, so
   // the tasks' first_block/num_blocks ranges stay valid.
-  dag.blocks_.reserve(raw_blocks.size());
+  auto arena = std::make_shared<TraceArena>();
+  arena->blocks.reserve(raw_blocks.size());
   for (const RefBlock& b : raw_blocks) {
-    dag.blocks_.push_back(pack_ref(b, &dag.inter_));
+    arena->blocks.push_back(pack_ref(b, &arena->inter));
   }
-  dag.build_interleave_fast();
+  arena->build_interleave_fast();
+  dag.arena_ = std::move(arena);
   for (TaskId t = 0; t < dag.tasks_.size(); ++t) {
     if (dag.tasks_[t].num_parents == 0) dag.roots_.push_back(t);
   }

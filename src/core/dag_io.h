@@ -6,8 +6,11 @@
 // workflow: the compact RefBlock representation keeps even paper-scale
 // traces to a few MB on disk.
 //
-// Format: little-endian, versioned header; task table, block table, edge
-// CSR, group table and an interned string table for call-site file names.
+// Format (magic "CASDG002"): little-endian; an interned string table for
+// call-site file names, then the task table, block table, edge CSR and
+// group table. Group children are rebuilt from the parent links. Version
+// 1 files (before RefBlock::period) are rejected with a message naming
+// the version.
 #pragma once
 
 #include <string>
@@ -20,7 +23,8 @@ namespace cachesched {
 void save_dag(const TaskDag& dag, const std::string& path);
 
 /// Reads a DAG written by save_dag. Throws std::runtime_error on I/O or
-/// format errors. The loaded DAG validates clean and produces exactly the
+/// format errors, and on a file whose tasks' `work` disagrees with their
+/// blocks. The loaded DAG validates clean and produces exactly the
 /// reference stream of the original.
 TaskDag load_dag(const std::string& path);
 

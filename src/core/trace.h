@@ -10,6 +10,10 @@
 //   kStride     — `count` references starting at `base`, `stride` bytes
 //                 apart (usually one reference per cache line; the per-word
 //                 accesses within a line are folded into instr_per_ref).
+//                 A nonzero `period` wraps the sweep: reference i is at
+//                 base + (i mod period) * stride, so a loop that revisits
+//                 the same lines P times is one block of P * lines
+//                 references with period `lines`, not P blocks.
 //   kRandom     — `count` references uniformly pseudo-random in
 //                 [base, base+region_len); addresses are a pure function of
 //                 (seed, index), so replay order does not matter.
@@ -29,7 +33,8 @@
 // common kinds directly, with kInterleave stream data hash-free in a side
 // table (`InterleaveSide`). The packed form roughly halves trace footprint
 // and keeps the simulator's refill scan sequential and cache-dense;
-// pack_ref/unpack_ref convert losslessly between the two.
+// pack_ref/unpack_ref convert losslessly between the two. A TaskDag keeps
+// every task's PackedRefs in one arena in task order (core/dag.h).
 #pragma once
 
 #include <cassert>
@@ -61,6 +66,7 @@ struct RefBlock {
   uint32_t count = 0;          // total references (all kinds but kCompute)
   uint32_t instr_per_ref = 1;  // instructions charged per reference (>= 1)
   uint32_t line_bytes = 128;   // kInterleave address stepping
+  uint32_t period = 0;         // kStride wrap length in refs (0 = no wrap)
   uint64_t base = 0;           // byte address (kStride/kRandom)
   int64_t stride = 0;          // bytes between refs (kStride)
   uint64_t region_len = 0;     // bytes (kRandom)
@@ -77,12 +83,13 @@ struct RefBlock {
 
   static RefBlock stride_ref(uint64_t base, uint32_t count,
                              int64_t stride_bytes, bool is_write,
-                             uint32_t instr_per_ref) {
+                             uint32_t instr_per_ref, uint32_t period = 0) {
     RefBlock b;
     b.kind = RefKind::kStride;
     b.base = base;
     b.count = count;
     b.stride = stride_bytes;
+    b.period = period;
     b.is_write = is_write;
     b.instr_per_ref = instr_per_ref ? instr_per_ref : 1;
     return b;
@@ -381,7 +388,7 @@ inline void interleave_expand(const InterleaveFast& f, uint32_t n, uint32_t i,
 ///
 ///            a            b            c
 ///  kCompute  instr        -            -
-///  kStride   base         stride       -
+///  kStride   base         stride       period (0 = no wrap)
 ///  kRandom   base         region_len   seed
 ///  kInterl.  side index   -            -
 struct PackedRef {
@@ -403,6 +410,7 @@ struct PackedRef {
   uint64_t region_len() const { return b; }  // kRandom
   uint64_t seed() const { return c; }        // kRandom
   int64_t stride() const { return static_cast<int64_t>(b); }  // kStride
+  uint32_t period() const { return static_cast<uint32_t>(c); }  // kStride
   uint32_t side_index() const {                               // kInterleave
     return static_cast<uint32_t>(a);
   }
@@ -444,6 +452,7 @@ inline PackedRef pack_ref(const RefBlock& b,
       p.count = b.count;
       p.a = b.base;
       p.b = static_cast<uint64_t>(b.stride);
+      p.c = b.period;
       break;
     case RefKind::kRandom:
       p.count = b.count;
@@ -474,7 +483,7 @@ inline RefBlock unpack_ref(const PackedRef& p, const InterleaveSide* side) {
       return RefBlock::compute(p.instr());
     case RefKind::kStride:
       return RefBlock::stride_ref(p.base(), p.count, p.stride(), p.is_write(),
-                                  p.instr_per_ref());
+                                  p.instr_per_ref(), p.period());
     case RefKind::kRandom:
       return RefBlock::random_ref(p.base(), p.region_len(), p.count, p.seed(),
                                   p.is_write(), p.instr_per_ref());
@@ -522,9 +531,10 @@ class TraceCursor {
             advance_block();
             continue;
           }
+          const uint32_t k = b.period() != 0 ? ri_ % b.period() : ri_;
           TraceOp op = mem_op(b);
           op.addr = b.base() + static_cast<uint64_t>(
-                                   static_cast<int64_t>(ri_) * b.stride());
+                                   static_cast<int64_t>(k) * b.stride());
           op.is_write = b.is_write();
           ++ri_;
           return op;

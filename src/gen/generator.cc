@@ -82,12 +82,15 @@ uint64_t emit_profile(const Ctx& c, uint64_t base, uint64_t bytes, uint64_t key,
       break;
     case ReuseProfile::kLoop:
       // `passes` sequential sweeps: temporal reuse at distance = region
-      // size. The final pass writes the region back.
-      for (uint32_t p = 0; p < s.passes; ++p) {
-        out->push_back(RefBlock::stride_ref(base, lines, c.line,
-                                            /*is_write=*/p + 1 == s.passes,
-                                            s.instr_per_ref));
+      // size. The read passes are one block wrapping every `lines`
+      // references; the final pass writes the region back.
+      if (s.passes > 1) {
+        out->push_back(RefBlock::stride_ref(
+            base, checked_count(uint64_t{lines} * (s.passes - 1)), c.line,
+            /*is_write=*/false, s.instr_per_ref, /*period=*/lines));
       }
+      out->push_back(RefBlock::stride_ref(base, lines, c.line,
+                                          /*is_write=*/true, s.instr_per_ref));
       refs = static_cast<uint64_t>(lines) * s.passes;
       break;
     case ReuseProfile::kRandom:

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "coarsen/coarsen.h"
 #include "profile/setassoc_profiler.h"
 #include "profile/ws_profiler.h"
+#include "sched/pdf_scheduler.h"
+#include "simarch/engine.h"
 #include "workloads/mergesort.h"
 
 namespace cachesched {
@@ -139,6 +143,41 @@ TEST(Coarsen, CoarsenedDagPreservesSequentialTraceOrder) {
   EXPECT_EQ(stream(w.dag), stream(c));
 }
 
+// The coarsened DAG replays its source's trace arena in place (each task
+// one contiguous run of it, no copy) and keeps it alive on its own.
+TEST(Coarsen, CoarsenedDagSharesAndOutlivesTheSourceArena) {
+  auto w = std::make_unique<Workload>(small_sort());
+  auto prof = profile(w->dag, 1 << 20);
+  CoarsenParams cp;
+  cp.cache_bytes = 32 * 1024;
+  cp.num_cores = 4;
+  const CoarsenResult r = select_task_granularity(w->dag, prof, cp);
+  const TaskDag c = coarsen_dag(w->dag, r.stopping_groups);
+  ASSERT_LT(c.num_tasks(), w->dag.num_tasks());
+  const PackedRef* arena = w->dag.blocks(0).data();
+  const TaskId last = static_cast<TaskId>(w->dag.num_tasks() - 1);
+  const PackedRef* arena_end =
+      w->dag.blocks(last).data() + w->dag.blocks(last).size();
+  const PackedRef* next = arena;
+  for (TaskId t = 0; t < c.num_tasks(); ++t) {
+    EXPECT_EQ(c.blocks(t).data(), next) << t;
+    next += c.blocks(t).size();
+  }
+  EXPECT_EQ(next, arena_end);
+  EXPECT_EQ(c.interleave_data(), w->dag.interleave_data());
+
+  const CmpConfig cfg = default_config(4).scaled(0.03125);
+  const auto simulate = [&cfg](const TaskDag& dag) {
+    PdfScheduler s;
+    CmpSimulator sim(cfg);
+    return sim.run(dag, s);
+  };
+  const SimResult before = simulate(c);
+  w.reset();
+  EXPECT_EQ(c.validate(), "");
+  EXPECT_EQ(simulate(c), before);
+}
+
 TEST(Coarsen, WholeProgramBudgetCollapsesToOneTask) {
   const Workload w = small_sort();
   auto prof = profile(w.dag, 1 << 20);
@@ -156,7 +195,8 @@ TEST(Coarsen, WholeProgramBudgetCollapsesToOneTask) {
 TEST(Coarsen, OverlappingGroupsRejected) {
   const Workload w = small_sort();
   const GroupId root = w.dag.root_group();
-  const GroupId child = w.dag.group(root).children.at(0);
+  ASSERT_FALSE(w.dag.group_children(root).empty());
+  const GroupId child = w.dag.group_children(root)[0];
   EXPECT_THROW(coarsen_dag(w.dag, {root, child}), std::invalid_argument);
 }
 

@@ -96,8 +96,9 @@ TEST(DagBuilder, Groups) {
   EXPECT_EQ(ig.first_task, 1u);
   EXPECT_EQ(ig.last_task, 2u);
   EXPECT_EQ(ig.parent, outer);
-  ASSERT_EQ(og.children.size(), 1u);
-  EXPECT_EQ(og.children[0], inner);
+  ASSERT_EQ(dag.group_children(outer).size(), 1u);
+  EXPECT_EQ(dag.group_children(outer)[0], inner);
+  EXPECT_TRUE(dag.group_children(inner).empty());
   EXPECT_EQ(og.param, 100);
   EXPECT_EQ(ig.line, 20);
   EXPECT_EQ(dag.task(0).group, outer);
@@ -175,7 +176,7 @@ TEST(DagMemory, StatsCoverTheRecordsAndRepeat) {
     }
     uint64_t group_bytes = dag.num_groups() * sizeof(TaskGroup);
     for (GroupId g = 0; g < dag.num_groups(); ++g) {
-      group_bytes += dag.group(g).children.size() * sizeof(GroupId);
+      group_bytes += dag.group_children(g).size() * sizeof(GroupId);
     }
     const TaskDag::MemoryStats m = dag.memory_stats();
     EXPECT_GE(m.trace_arena_bytes, blocks * sizeof(PackedRef));

@@ -116,6 +116,44 @@ TEST(Generator, ReuseProfilesChangeRefCounts) {
   EXPECT_EQ(rand, loop);
 }
 
+// reuse=loop stores its read passes as one wrapped block and the write
+// pass as a second one, yet expands to exactly P explicit passes.
+TEST(Generator, LoopPassesAreOneWrappedBlockPlusTheWritePass) {
+  for (const uint32_t passes : {1u, 2u, 16u, 64u}) {
+    SCOPED_TRACE(passes);
+    const TaskDag dag =
+        build_generated(GenSpec::parse("forkjoin:stages=2,width=3,ws=1K,"
+                                       "reuse=loop,passes=" +
+                                       std::to_string(passes)),
+                        kLine)
+            .dag;
+    const uint32_t lines = 1024 / kLine;
+    uint32_t regions = 0;
+    for (TaskId t = 0; t < dag.num_tasks(); ++t) {
+      if (dag.blocks(t)[0].kind() != RefKind::kStride) continue;  // fork/join
+      ++regions;
+      EXPECT_EQ(dag.blocks(t).size(), passes > 1 ? 2u : 1u);
+      std::vector<TraceOp> ops;
+      TraceCursor cur = dag.cursor(t);
+      for (TraceOp op = cur.next(); op.kind != TraceOp::kDone;
+           op = cur.next()) {
+        ops.push_back(op);
+      }
+      ASSERT_EQ(ops.size(), uint64_t{lines} * passes);
+      const uint64_t base = ops[0].addr;
+      for (uint32_t p = 0; p < passes; ++p) {
+        for (uint32_t i = 0; i < lines; ++i) {
+          const TraceOp& op = ops[p * lines + i];
+          EXPECT_EQ(op.kind, TraceOp::kMem);
+          EXPECT_EQ(op.addr, base + uint64_t{i} * kLine);
+          EXPECT_EQ(op.is_write, p + 1 == passes);
+        }
+      }
+    }
+    EXPECT_EQ(regions, 6u);
+  }
+}
+
 TEST(Generator, ShareFractionRoutesRefsToSharedRegion) {
   // share=0.5 doubles total refs (one shared ref per private ref).
   const uint64_t base = build_generated(

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/trace.h"
+#include "simarch/engine_detail.h"
 
 namespace cachesched {
 namespace {
@@ -52,6 +53,20 @@ TEST(Trace, NegativeStride) {
   ASSERT_EQ(ops.size(), 3u);
   EXPECT_EQ(ops[1].addr, 0x1000u - 128u);
   EXPECT_EQ(ops[2].addr, 0x1000u - 256u);
+}
+
+TEST(Trace, WrappedStrideRevisitsThePeriod) {
+  // Three passes over four lines, then a partial fourth pass.
+  auto ops = expand({RefBlock::stride_ref(0x1000, 14, -64, false, 2,
+                                          /*period=*/4)});
+  ASSERT_EQ(ops.size(), 14u);
+  for (uint32_t i = 0; i < 14; ++i) {
+    EXPECT_EQ(ops[i].addr, 0x1000u - 64u * (i % 4)) << i;
+    EXPECT_EQ(ops[i].instr, 2u);
+  }
+  const auto b = RefBlock::stride_ref(0, 14, 64, false, 2, 4);
+  EXPECT_EQ(b.total_refs(), 14u);
+  EXPECT_EQ(b.total_instr(), 28u);
 }
 
 TEST(Trace, RandomWithinRegionAndDeterministic) {
@@ -154,6 +169,7 @@ TEST(Trace, PackUnpackRoundTripsEveryKind) {
   const RefBlock originals[] = {
       RefBlock::compute(4242),
       RefBlock::stride_ref(0xABC000, 77, -256, true, 9),
+      RefBlock::stride_ref(0xABC000, 77, 128, false, 9, /*period=*/11),
       RefBlock::random_ref(0x8000, 1 << 16, 1234, 0xDEADBEEF, false, 3),
       RefBlock::interleave(s, 3, 64, 2),
   };
@@ -173,6 +189,7 @@ TEST(Trace, PackUnpackRoundTripsEveryKind) {
     EXPECT_EQ(u.line_bytes, b.line_bytes);
     EXPECT_EQ(u.base, b.base);
     EXPECT_EQ(u.stride, b.stride);
+    EXPECT_EQ(u.period, b.period);
     EXPECT_EQ(u.region_len, b.region_len);
     EXPECT_EQ(u.seed, b.seed);
     EXPECT_EQ(u.instr, b.instr);
@@ -242,6 +259,58 @@ TEST(Trace, InterleaveExpandMatchesCursorRandomized) {
       i += chunk;
     }
     EXPECT_EQ(cur.next().kind, TraceOp::kDone);
+  }
+}
+
+// The engine's batched expander (engine_detail::TraceExpander) must emit
+// TraceCursor's stream for wrapped stride blocks: random count, period and
+// signed strides, followed by a plain block so the block advance after a
+// wrapped block is covered too. Every split point of the stream is a
+// batch boundary once, including each wrap point (multiples of period).
+TEST(Trace, WrappedStrideExpanderMatchesCursor) {
+  Xoshiro256 rng(16);
+  for (int iter = 0; iter < 200; ++iter) {
+    const uint32_t period = 1 + static_cast<uint32_t>(rng.next_below(24));
+    const uint32_t count =
+        static_cast<uint32_t>(rng.next_below(uint64_t{5} * period + 3));
+    const int64_t stride =
+        (rng.next_below(2) == 0 ? -1 : 1) *
+        static_cast<int64_t>(rng.next_below(3) == 0 ? 1 + rng.next_below(4096)
+                                                    : 128);
+    const uint64_t base = (uint64_t{1} << 40) + (rng.next() & 0xFFFFFF00);
+    std::vector<InterleaveSide> side;
+    const PackedRef blocks[] = {
+        pack_ref(RefBlock::stride_ref(base, count, stride,
+                                      rng.next_below(2) == 0, 3, period),
+                 &side),
+        pack_ref(RefBlock::stride_ref(0x5000, 3, 128, true, 1), &side)};
+    std::vector<engine_detail::BufOp> want;
+    TraceCursor cur(blocks, 2, side.data());
+    for (TraceOp op = cur.next(); op.kind != TraceOp::kDone; op = cur.next()) {
+      want.push_back(
+          {op.addr, static_cast<uint32_t>(op.instr) |
+                        (op.is_write ? engine_detail::kBufWrite : 0u)});
+    }
+    ASSERT_EQ(want.size(), count + 3u);
+    const engine_detail::TraceExpander ex{side.data(), nullptr,
+                                          /*line_shift=*/0};
+    for (size_t split = 0; split <= want.size(); ++split) {
+      uint32_t bi = 0;
+      uint32_t ri = 0;
+      uint32_t em[3] = {0, 0, 0};
+      engine_detail::BufOp buf[engine_detail::kBufOps];
+      std::vector<engine_detail::BufOp> got;
+      int cap = split == 0 ? engine_detail::kBufOps : static_cast<int>(split);
+      for (int n; (n = ex.expand(blocks, 2, bi, ri, em, buf, cap)) > 0;) {
+        got.insert(got.end(), buf, buf + n);
+        cap = engine_detail::kBufOps;
+      }
+      ASSERT_EQ(got.size(), want.size()) << "split " << split;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].v, want[i].v) << "split " << split << " ref " << i;
+        ASSERT_EQ(got[i].meta, want[i].meta) << "split " << split;
+      }
+    }
   }
 }
 
