@@ -28,6 +28,10 @@ int64_t ParallelizeTable::threshold(uint64_t l2_bytes, int cores,
 CoarsenResult select_task_granularity(const TaskDag& dag,
                                       const WorkingSetProfiler& profiler,
                                       const CoarsenParams& params) {
+  if (profiler.num_tasks() != dag.num_tasks()) {
+    throw std::invalid_argument(
+        "select_task_granularity: the profiler ran on a different DAG");
+  }
   CoarsenResult result;
   result.budget_bytes = params.budget_bytes();
   if (dag.num_groups() == 0) return result;

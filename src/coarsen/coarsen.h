@@ -81,7 +81,9 @@ struct CoarsenResult {
   uint64_t budget_bytes = 0;
 };
 
-/// Runs the §6.2 selection. `profiler` must already have run() on `dag`.
+/// Runs the §6.2 selection. `profiler` must already have run() on `dag`;
+/// a profile of a DAG with another task count throws
+/// std::invalid_argument.
 CoarsenResult select_task_granularity(const TaskDag& dag,
                                       const WorkingSetProfiler& profiler,
                                       const CoarsenParams& params);

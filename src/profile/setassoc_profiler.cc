@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "profile/lru_stack.h"
+#include "profile/bucketed_stack.h"
 #include "simarch/cache.h"
 
 namespace cachesched {
@@ -18,19 +18,18 @@ SetAssocProfiler::GroupStats SetAssocProfiler::profile_group(
   GroupStats s;
   if (ways_ == 0) {  // fully associative
     // A fully-associative true-LRU cache of C lines hits exactly the
-    // references with reuse distance < C (Mattson), so the replay rides
-    // the fast LRU-stack primitive instead of a hash + list cache. The
-    // multi-pass structure — one cold replay per (group, size), the §6.1
-    // baseline this profiler exists to represent — is unchanged.
-    LruStackModel stack;
+    // references with reuse distance < C (Mattson): bucket 0 of the
+    // one-size bucketed stack, which is that cache. The multi-pass
+    // structure — one cold replay per (group, size), the §6.1 baseline
+    // this profiler exists to represent — is unchanged.
+    BucketedLruStack stack({lines});
     for (TaskId t = b; t <= e; ++t) {
       TraceCursor cur = dag.cursor(t);
       for (TraceOp op = cur.next(); op.kind != TraceOp::kDone;
            op = cur.next()) {
         if (op.kind != TraceOp::kMem) continue;
         ++s.refs;
-        const StackRef r = stack.access(op.addr >> line_shift, t);
-        s.hits += !r.cold() && r.distance < lines;
+        s.hits += stack.access(op.addr >> line_shift, t).bucket == 0;
       }
     }
     return s;

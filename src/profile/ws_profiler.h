@@ -16,8 +16,16 @@
 // reuse distance equals the group-local one whenever the previous visitor
 // is in the group.
 //
+// The paper's LruTree counts each reference's exact reuse distance. Here
+// the sizes are fixed at construction, so the replay only needs the
+// bucket a distance falls in, which the size-bucketed LRU stack
+// (bucketed_stack.h) gives in O(k) per reference; the buckets answer the
+// same queries.
+//
 // The working-set size of a group is its distinct-lines count times the
-// line size (= references minus infinite-cache in-group hits).
+// line size (= references minus infinite-cache in-group hits). A caller
+// that needs only each task's own working set uses
+// task_working_set_bytes, which counts it directly.
 #pragma once
 
 #include <cstdint>
@@ -25,22 +33,32 @@
 #include <vector>
 
 #include "core/dag.h"
-#include "profile/lru_stack.h"
 
 namespace cachesched {
 
 class WorkingSetProfiler {
  public:
-  /// `cache_sizes_bytes` must be strictly increasing; these are the D1..Dk
-  /// candidate sizes working-set queries can be answered for.
+  /// Histogram buckets 0..k fit in 4 bits.
+  static constexpr size_t kMaxSizes = 15;
+
+  /// `cache_sizes_bytes` must be strictly increasing, at most kMaxSizes of
+  /// them; these are the D1..Dk candidate sizes working-set queries can be
+  /// answered for.
   WorkingSetProfiler(std::vector<uint64_t> cache_sizes_bytes,
                      uint32_t line_bytes);
 
-  /// Replays `dag`'s tasks in sequential order through the LRU stack model
-  /// (the one pass). Must be called exactly once.
+  /// Replays `dag`'s tasks in sequential order through the bucketed LRU
+  /// stack (the one pass). Must be called exactly once.
   void run(const TaskDag& dag);
 
-  /// References issued by tasks [b, e] (inclusive).
+  // Group queries take tasks [b, e] (inclusive) of the profiled DAG. They
+  // throw std::logic_error before run() and std::out_of_range unless
+  // b <= e < num_tasks().
+
+  /// Tasks of the profiled DAG.
+  size_t num_tasks() const;
+
+  /// References issued by tasks [b, e].
   uint64_t group_refs(TaskId b, TaskId e) const;
 
   /// Hits of group [b, e] replayed alone from a cold cache of size
@@ -70,10 +88,14 @@ class WorkingSetProfiler {
 
  private:
   struct Entry {
-    uint32_t delta;    // current task id - previous visitor id
-    uint16_t bucket;   // smallest size index the reference hits at
-    uint32_t count;
+    uint32_t delta;       // current task id - previous visitor id
+    uint32_t bucket : 4;  // smallest size index the reference hits at
+    uint32_t count : 28;  // a larger count spans several entries
   };
+  static_assert(sizeof(Entry) == 8);
+  static constexpr uint32_t kMaxCount = (uint32_t{1} << 28) - 1;
+
+  void check_group(TaskId b, TaskId e) const;
 
   std::vector<uint64_t> sizes_lines_;  // strictly increasing, in lines
   uint32_t line_bytes_;
@@ -85,5 +107,12 @@ class WorkingSetProfiler {
   std::vector<uint64_t> refs_prefix_;  // refs_prefix_[i] = refs of tasks < i
   uint64_t total_refs_ = 0;
 };
+
+/// Each task's own working set in bytes (its distinct lines x
+/// `line_bytes`), counted in one pass with a per-line last-visitor table:
+/// equal to WorkingSetProfiler::group_working_set_bytes(t, t) for every
+/// task t, without the stack or the histogram.
+std::vector<uint64_t> task_working_set_bytes(const TaskDag& dag,
+                                             uint32_t line_bytes);
 
 }  // namespace cachesched

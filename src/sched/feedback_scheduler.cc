@@ -15,14 +15,8 @@ void FeedbackScheduler::reset(const TaskDag& dag, const SchedContext& ctx) {
   budget_bytes_ = std::max<uint64_t>(
       1, static_cast<uint64_t>(opt_.budget *
                                static_cast<double>(ctx.l2_bytes)));
-  WorkingSetProfiler prof({ctx.l2_bytes},
-                          static_cast<uint32_t>(ctx.line_bytes));
-  prof.run(dag);
-  const size_t n = dag.num_tasks();
-  task_ws_.assign(n, 0);
-  for (TaskId t = 0; t < n; ++t) {
-    task_ws_[t] = prof.group_working_set_bytes(t, t);
-  }
+  const auto line_bytes = static_cast<uint32_t>(ctx.line_bytes);
+  task_ws_ = task_working_set_bytes(dag, line_bytes);
 }
 
 void FeedbackScheduler::enqueue_ready(int core, std::span<const TaskId> ready) {

@@ -1,9 +1,11 @@
 // Cache-footprint-feedback scheduler ("cfb"): a PDF-ordered centralized
 // scheduler that throttles admission against the shared-L2 capacity.
 //
-// At reset it runs the working-set profiler (src/profile/ws_profiler, the
-// paper's one-pass LruTree) over the DAG and records every task's
-// distinct-lines footprint in bytes. At acquire() it hands out the
+// At reset it records every task's footprint: its distinct lines times the
+// line size, counted in one pass over the DAG's trace by
+// task_working_set_bytes (src/profile/ws_profiler.h). That equals the
+// single-task working set the paper's one-pass LruTree profiler reports,
+// without building its stack or histogram. At acquire() it hands out the
 // sequentially-earliest ready task — exactly PDF — *unless* admitting it
 // would push the aggregate live working set (sum of footprints of the
 // currently running tasks) past budget*l2_bytes; then it returns kNoTask

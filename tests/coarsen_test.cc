@@ -200,5 +200,19 @@ TEST(Coarsen, OverlappingGroupsRejected) {
   EXPECT_THROW(coarsen_dag(w.dag, {root, child}), std::invalid_argument);
 }
 
+TEST(Coarsen, ProfilerOfAnotherDagRejected) {
+  // A profile of a smaller DAG has no entries for the larger DAG's later
+  // tasks; selecting with it must fail before any query reads past them.
+  const Workload small = small_sort(8 * 1024);
+  const Workload fine = small_sort();
+  ASSERT_LT(small.dag.num_tasks(), fine.dag.num_tasks());
+  const auto prof = profile(small.dag, 1 << 20);
+  CoarsenParams cp;
+  cp.cache_bytes = 32 * 1024;
+  cp.num_cores = 4;
+  EXPECT_THROW(select_task_granularity(fine.dag, prof, cp),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace cachesched

@@ -1,119 +1,138 @@
+// The size-bucketed LRU stack (profile/bucketed_stack.h) against a naive
+// O(n) LRU list that shares none of its code: every access's bucket must
+// equal upper_bound(sizes, naive reuse distance), and its previous
+// visitor must match.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 #include <vector>
 
-#include "profile/lru_stack.h"
+#include "profile/bucketed_stack.h"
 #include "util/rng.h"
 
 namespace cachesched {
 namespace {
 
-// Naive O(n) oracle: an explicit LRU stack (most recent at front).
+constexpr uint64_t kCold = ~uint64_t{0};
+
+// Naive oracle: an explicit LRU stack (most recent at front) that reports
+// exact reuse distances.
 class NaiveStack {
  public:
-  StackRef access(uint64_t line, TaskId task) {
-    StackRef out;
+  struct Ref {
+    uint64_t distance = kCold;
+    TaskId prev_task = kNoTask;
+  };
+
+  Ref access(uint64_t line, TaskId task) {
+    Ref out;
     uint64_t d = 0;
     for (auto it = stack_.begin(); it != stack_.end(); ++it, ++d) {
       if (it->line == line) {
         out.distance = d;
         out.prev_task = it->task;
         stack_.erase(it);
-        stack_.push_front({line, task});
-        return out;
+        break;
       }
     }
-    out.distance = StackRef::kColdDistance;
-    out.prev_task = kNoTask;
     stack_.push_front({line, task});
     return out;
   }
 
  private:
-  struct Node { uint64_t line; TaskId task; };
+  struct Node {
+    uint64_t line;
+    TaskId task;
+  };
   std::list<Node> stack_;
 };
 
+uint32_t expected_bucket(const std::vector<uint64_t>& sizes,
+                         uint64_t distance) {
+  if (distance == kCold) return BucketRef::kCold;
+  return static_cast<uint32_t>(
+      std::upper_bound(sizes.begin(), sizes.end(), distance) - sizes.begin());
+}
+
+TaskId task_of(size_t i) { return static_cast<TaskId>(i / 16); }
+
+/// The naive stack's answer for every access of `lines` (task = index /
+/// 16); it does not depend on the sizes, so one replay serves them all.
+std::vector<NaiveStack::Ref> naive_refs(const std::vector<uint64_t>& lines) {
+  NaiveStack naive;
+  std::vector<NaiveStack::Ref> refs;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    refs.push_back(naive.access(lines[i], task_of(i)));
+  }
+  return refs;
+}
+
+void check_against_naive(const std::vector<uint64_t>& sizes,
+                         const std::vector<uint64_t>& lines,
+                         const std::vector<NaiveStack::Ref>& naive,
+                         const char* what) {
+  BucketedLruStack stack(sizes);
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const BucketRef a = stack.access(lines[i], task_of(i));
+    ASSERT_EQ(a.bucket, expected_bucket(sizes, naive[i].distance))
+        << what << " k=" << sizes.size() << " i=" << i;
+    ASSERT_EQ(a.prev_task, naive[i].prev_task) << what << " i=" << i;
+  }
+}
+
 TEST(LruStack, ColdThenReuse) {
-  LruStackModel m;
+  BucketedLruStack m({1, 2});
   EXPECT_TRUE(m.access(1, 0).cold());
   EXPECT_TRUE(m.access(2, 0).cold());
-  // Re-access 1: one distinct line (2) in between.
-  const StackRef r = m.access(1, 1);
-  EXPECT_EQ(r.distance, 1u);
+  // Re-access 1: one distinct line (2) in between, so distance 1 fits
+  // under the second size only.
+  const BucketRef r = m.access(1, 1);
+  EXPECT_EQ(r.bucket, 1u);
   EXPECT_EQ(r.prev_task, 0u);
   // Immediately again: distance 0, previous task updated.
-  const StackRef r2 = m.access(1, 2);
-  EXPECT_EQ(r2.distance, 0u);
+  const BucketRef r2 = m.access(1, 2);
+  EXPECT_EQ(r2.bucket, 0u);
   EXPECT_EQ(r2.prev_task, 1u);
 }
 
 TEST(LruStack, RepeatedAccessesDontInflateDistance) {
-  LruStackModel m;
+  BucketedLruStack m({2});
   m.access(1, 0);
   for (int i = 0; i < 10; ++i) m.access(2, 0);  // one distinct line
-  EXPECT_EQ(m.access(1, 0).distance, 1u);
+  EXPECT_EQ(m.access(1, 0).bucket, 0u);
 }
 
-TEST(LruStack, DistinctLineCount) {
-  LruStackModel m;
-  for (uint64_t l = 0; l < 100; ++l) m.access(l % 25, 0);
-  EXPECT_EQ(m.distinct_lines(), 25u);
-  EXPECT_EQ(m.accesses(), 100u);
-}
-
-TEST(LruStack, MatchesNaiveOracleRandom) {
-  LruStackModel m(/*initial_capacity=*/64);  // force many compactions
-  NaiveStack naive;
-  Xoshiro256 rng(17);
-  for (int i = 0; i < 20000; ++i) {
-    const uint64_t line = rng.next_below(300);
-    const TaskId task = static_cast<TaskId>(i / 100);
-    const StackRef a = m.access(line, task);
-    const StackRef b = naive.access(line, task);
-    ASSERT_EQ(a.distance, b.distance) << "iteration " << i;
-    ASSERT_EQ(a.prev_task, b.prev_task) << "iteration " << i;
-  }
-}
-
-TEST(LruStack, MatchesNaiveOracleSkewed) {
-  // Zipf-ish skew: hot lines keep tiny distances, cold tail forces
-  // compaction churn.
-  LruStackModel m(64);
-  NaiveStack naive;
-  Xoshiro256 rng(23);
-  for (int i = 0; i < 20000; ++i) {
-    uint64_t line;
-    if (rng.next_below(100) < 70) {
-      line = rng.next_below(8);       // hot set
-    } else {
-      line = 100 + rng.next_below(2000);  // cold tail
-    }
-    const StackRef a = m.access(line, static_cast<TaskId>(i));
-    const StackRef b = naive.access(line, static_cast<TaskId>(i));
-    ASSERT_EQ(a.distance, b.distance) << i;
-    ASSERT_EQ(a.prev_task, b.prev_task) << i;
-  }
-}
-
-TEST(LruStack, SequentialScanDistances) {
+TEST(LruStack, SequentialScanBuckets) {
   // A scan of N lines then a re-scan: every re-access has distance N-1.
-  LruStackModel m;
   constexpr uint64_t kN = 500;
+  BucketedLruStack m({100, kN - 1, kN});
   for (uint64_t l = 0; l < kN; ++l) m.access(l, 0);
-  for (uint64_t l = 0; l < kN; ++l) {
-    EXPECT_EQ(m.access(l, 1).distance, kN - 1);
-  }
+  for (uint64_t l = 0; l < kN; ++l) EXPECT_EQ(m.access(l, 1).bucket, 2u);
+}
+
+TEST(LruStack, LineBeyondTheLargestSizeKeepsItsPreviousTask) {
+  BucketedLruStack m({4});
+  for (uint64_t l = 0; l < 10; ++l) m.access(l, static_cast<TaskId>(l));
+  const BucketRef r = m.access(0, 10);  // distance 9 >= 4
+  EXPECT_EQ(r.bucket, 1u);
+  EXPECT_FALSE(r.cold());
+  EXPECT_EQ(r.prev_task, 0u);
+}
+
+TEST(LruStack, RejectsBadSizes) {
+  EXPECT_THROW(BucketedLruStack({}), std::invalid_argument);
+  EXPECT_THROW(BucketedLruStack({0, 4}), std::invalid_argument);
+  EXPECT_THROW(BucketedLruStack({4, 4}), std::invalid_argument);
+  EXPECT_THROW(BucketedLruStack({8, 4}), std::invalid_argument);
 }
 
 // Property test against the naive O(n) stack across a matrix of access
-// shapes and slot capacities. Small initial capacities put accesses right
-// at compaction boundaries (capacity_ is rounded up to 1024, so 20k+
-// accesses cross several compact+grow cycles); line values are spread
-// over distant regions so the paged map must handle page-table growth and
-// page-boundary neighbours, not just one hot block.
-TEST(LruStack, MatchesNaiveAcrossPatternsAndCompactionBoundaries) {
+// shapes and size sets: fixed sets with 1-line segments, and random sets
+// with k in 1..4. Line values are spread over distant regions so the paged
+// line map must handle page-table growth and page-boundary neighbours,
+// not just one hot page.
+TEST(LruStack, MatchesNaiveAcrossPatternsAndSizeSets) {
   struct Pattern {
     const char* name;
     uint64_t (*line)(Xoshiro256&, int);
@@ -138,44 +157,32 @@ TEST(LruStack, MatchesNaiveAcrossPatternsAndCompactionBoundaries) {
                     ? rng.next_below(8)
                     : (uint64_t{1} << 33) + rng.next_below(4000);
        }},
+      {"far-above-largest",  // 3000 lines, far above most sizes below
+       [](Xoshiro256& rng, int) { return rng.next_below(3000); }},
   };
+  std::vector<std::vector<uint64_t>> size_sets = {
+      {1}, {1, 2, 3, 4}, {8}, {4, 5, 64, 65}, {16, 256}, {1, 30, 31, 1024}};
+  // Each random segment is 1 line about a third of the time.
+  Xoshiro256 size_rng(5);
+  for (int trial = 0; trial < 30; ++trial) {
+    const uint64_t k = 1 + size_rng.next_below(4);
+    std::vector<uint64_t> sizes;
+    uint64_t size = 0;
+    for (uint64_t j = 0; j < k; ++j) {
+      size += size_rng.next_below(3) == 0 ? 1 : 1 + size_rng.next_below(40);
+      sizes.push_back(size);
+    }
+    size_sets.push_back(sizes);
+  }
   for (const Pattern& p : patterns) {
-    for (const size_t cap : {size_t{1}, size_t{64}, size_t{1} << 16}) {
-      LruStackModel m(cap);
-      NaiveStack naive;
-      Xoshiro256 rng(99);
-      for (int i = 0; i < 20000; ++i) {
-        const uint64_t line = p.line(rng, i);
-        const TaskId task = static_cast<TaskId>(i & 1023);
-        const StackRef a = m.access(line, task);
-        const StackRef b = naive.access(line, task);
-        ASSERT_EQ(a.distance, b.distance)
-            << p.name << " cap=" << cap << " i=" << i;
-        ASSERT_EQ(a.prev_task, b.prev_task)
-            << p.name << " cap=" << cap << " i=" << i;
-      }
-      EXPECT_EQ(m.accesses(), 20000u);
+    Xoshiro256 rng(99);
+    std::vector<uint64_t> lines(20000);
+    for (int i = 0; i < 20000; ++i) lines[i] = p.line(rng, i);
+    const std::vector<NaiveStack::Ref> naive = naive_refs(lines);
+    for (const std::vector<uint64_t>& sizes : size_sets) {
+      check_against_naive(sizes, lines, naive, p.name);
     }
   }
-}
-
-// Exactly-at-the-boundary check: with the minimum slot capacity (1024),
-// walk access counts that straddle each compaction trigger and verify
-// distances stay exact through it.
-TEST(LruStack, CompactionBoundaryExact) {
-  LruStackModel m(1);  // rounded up to the 1024 floor
-  NaiveStack naive;
-  // 600 distinct lines touched round-robin: time_ hits 1024 mid-cycle,
-  // compacts to 600 live slots, grows capacity to 2048, and keeps going.
-  for (int round = 0; round < 12; ++round) {
-    for (uint64_t l = 0; l < 600; ++l) {
-      const StackRef a = m.access(l, static_cast<TaskId>(round));
-      const StackRef b = naive.access(l, static_cast<TaskId>(round));
-      ASSERT_EQ(a.distance, b.distance) << "round " << round << " l " << l;
-      ASSERT_EQ(a.prev_task, b.prev_task);
-    }
-  }
-  EXPECT_EQ(m.distinct_lines(), 600u);
 }
 
 }  // namespace

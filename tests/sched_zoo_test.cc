@@ -242,7 +242,7 @@ TEST(CfbZoo, ThrottlesAdmissionAtTheBudget) {
   c.line_bytes = 128;
   s->reset(dag, c);
   EXPECT_EQ(cfb->budget_bytes(), 1024u);
-  EXPECT_EQ(cfb->task_ws_bytes(1), 512u);  // profiler: 4 lines x 128 B
+  EXPECT_EQ(cfb->task_ws_bytes(1), 512u);  // footprint: 4 lines x 128 B
   const TaskId ready[] = {1, 2, 3};
   s->enqueue_ready(0, ready);
   EXPECT_EQ(s->acquire(0), 1u);  // PDF order

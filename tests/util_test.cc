@@ -7,86 +7,12 @@
 #include <utility>
 #include <vector>
 
-#include "util/bitrank.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
 
 namespace cachesched {
 namespace {
-
-// BitRank (the LruTree profiler's counter structure) against a plain
-// vector-of-bools reference, across every walk shape count_range takes
-// (same word, block-internal, block-spanning, super-spanning).
-TEST(BitRank, MatchesNaiveBitsRandomized) {
-  constexpr uint64_t kN = 3 * 32768 + 777;  // spans >3 supers, odd tail
-  BitRank r(kN);
-  std::vector<bool> ref(kN, false);
-  Xoshiro256 rng(7);
-  for (int i = 0; i < 30000; ++i) {
-    const uint64_t pos = rng.next_below(kN);
-    if (ref[pos]) {
-      r.clear(pos);
-      ref[pos] = false;
-    } else {
-      r.set(pos);
-      ref[pos] = true;
-    }
-    if (i % 16 == 0) {
-      uint64_t lo = rng.next_below(kN);
-      uint64_t hi = rng.next_below(kN + 1);
-      if (lo > hi) std::swap(lo, hi);
-      uint64_t expect = 0;
-      for (uint64_t j = lo; j < hi; ++j) expect += ref[j];
-      ASSERT_EQ(r.count_range(lo, hi), expect) << lo << ".." << hi;
-    }
-  }
-}
-
-TEST(BitRank, CountRangeEdges) {
-  BitRank r(1024);
-  EXPECT_EQ(r.count_range(0, 0), 0u);
-  EXPECT_EQ(r.count_range(500, 500), 0u);
-  r.set(0);
-  r.set(63);
-  r.set(64);
-  r.set(1023);
-  EXPECT_EQ(r.count_range(0, 1024), 4u);
-  EXPECT_EQ(r.count_range(0, 64), 2u);    // same-word span
-  EXPECT_EQ(r.count_range(63, 65), 2u);   // word boundary
-  EXPECT_EQ(r.count_range(1, 1023), 2u);
-  r.clear(64);
-  EXPECT_EQ(r.count_range(0, 1024), 3u);
-}
-
-TEST(BitRank, BlockPrefix) {
-  BitRank r(4 * BitRank::kBlockSlots);
-  r.set(1);
-  r.set(BitRank::kBlockSlots);      // first slot of block 1
-  r.set(BitRank::kBlockSlots - 1);  // last slot of block 0
-  r.set(3 * BitRank::kBlockSlots + 5);
-  std::vector<uint64_t> prefix;
-  r.block_prefix(&prefix);
-  ASSERT_EQ(prefix.size(), 5u);
-  EXPECT_EQ(prefix[0], 0u);
-  EXPECT_EQ(prefix[1], 2u);
-  EXPECT_EQ(prefix[2], 3u);
-  EXPECT_EQ(prefix[3], 3u);
-  EXPECT_EQ(prefix[4], 4u);
-}
-
-TEST(BitRank, Popcount64) {
-  EXPECT_EQ(BitRank::popcount64(0), 0u);
-  EXPECT_EQ(BitRank::popcount64(~uint64_t{0}), 64u);
-  EXPECT_EQ(BitRank::popcount64(0x8000000000000001ULL), 2u);
-  Xoshiro256 rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const uint64_t v = rng.next();
-    uint64_t n = 0;
-    for (int b = 0; b < 64; ++b) n += (v >> b) & 1;
-    ASSERT_EQ(BitRank::popcount64(v), n);
-  }
-}
 
 TEST(Rng, SplitMixDeterministic) {
   SplitMix64 a(123), b(123);

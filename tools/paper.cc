@@ -542,8 +542,8 @@ void table_configs(const Paper&) {
 // reductions save dynamic energy; and constructive sharing shrinks the
 // aggregate working set, so L2 segments can be powered down. Reports
 // dynamic energy under PDF vs WS, and leakage with segments gated to
-// PDF's resident working set (from the profiler's per-task working sets,
-// which need the built DAG, so this simulates directly).
+// PDF's resident working set (from the per-task working sets, which need
+// the built DAG, so this simulates directly).
 void table_energy(const Paper& p) {
   const std::vector<int64_t> kCores = {8, 16, 32};
   const EnergyParams ep;
@@ -560,12 +560,9 @@ void table_energy(const Paper& p) {
 
       // PDF keeps resident about the largest task working set times the
       // core count (its frontier tracks the sequential window).
-      WorkingSetProfiler prof({cfg.l2_bytes}, cfg.line_bytes);
-      prof.run(w.dag);
       uint64_t max_task_ws = 0;
-      for (TaskId id = 0; id < w.dag.num_tasks(); ++id) {
-        max_task_ws =
-            std::max(max_task_ws, prof.group_working_set_bytes(id, id));
+      for (uint64_t b : task_working_set_bytes(w.dag, cfg.line_bytes)) {
+        max_task_ws = std::max(max_task_ws, b);
       }
       const uint64_t pdf_resident = powered_segments_bytes(
           max_task_ws * static_cast<uint64_t>(cfg.cores) * 2, cfg,
