@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -10,7 +11,7 @@ namespace cachesched {
 namespace check {
 namespace {
 
-constexpr const char* kMagic = "cachesched-crash-repro v2";
+constexpr const char* kMagic = "cachesched-crash-repro v3";
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("bad crash repro: " + what);
@@ -46,9 +47,11 @@ bool parse_bool(const std::string& key, const std::string& val) {
 }
 
 /// Inverse of ConfigOverrides::serialize():
-/// "l2_hit=19,mem_latency=-,banks=-,dispatch=-,quantum=-" ('-' = unset).
+/// "l2_hit=19,mem_latency=-,banks=-,dispatch=-" ('-' = unset). The key is
+/// checked before its value, and each key may appear once.
 ConfigOverrides parse_overrides(const std::string& s) {
   ConfigOverrides o;
+  std::set<std::string> seen;
   std::stringstream ss(s);
   std::string item;
   while (std::getline(ss, item, ',')) {
@@ -58,18 +61,20 @@ ConfigOverrides parse_overrides(const std::string& s) {
     }
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
-    if (val == "-") continue;
-    const uint64_t v = parse_u64("overrides." + key, val);
+    if (!seen.insert(key).second) {
+      fail("duplicate overrides key \"" + key + "\"");
+    }
+    auto set = [&](auto& field) {  // '-' leaves the field unset
+      if (val != "-") field.emplace(parse_u64("overrides." + key, val));
+    };
     if (key == "l2_hit") {
-      o.l2_hit_cycles = static_cast<int>(v);
+      set(o.l2_hit_cycles);
     } else if (key == "mem_latency") {
-      o.mem_latency_cycles = static_cast<int>(v);
+      set(o.mem_latency_cycles);
     } else if (key == "banks") {
-      o.l2_banks = static_cast<int>(v);
+      set(o.l2_banks);
     } else if (key == "dispatch") {
-      o.task_dispatch_cycles = static_cast<uint32_t>(v);
-    } else if (key == "quantum") {
-      o.quantum_cycles = v;
+      set(o.task_dispatch_cycles);
     } else {
       fail("unknown overrides key \"" + key + "\"");
     }
@@ -111,7 +116,7 @@ CrashRepro CrashRepro::parse(const std::string& text) {
   std::stringstream ss(text);
   std::string line;
   if (!std::getline(ss, line) || line != kMagic) {
-    fail("missing magic line \"" + std::string(kMagic) + "\"");
+    fail("magic line is \"" + line + "\", not \"" + kMagic + "\"");
   }
   std::map<std::string, std::string> kv;
   while (std::getline(ss, line)) {

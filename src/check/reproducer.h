@@ -15,9 +15,10 @@
 // Format: '#' comment lines, then one key=value per line (values may
 // contain '='; the first '=' splits). Unknown keys are rejected —
 // reproducers are written and read by this code only, so leniency would
-// just mask version skew. The leading "cachesched-crash-repro v2" line
-// is the magic; bump the version when the schema changes, so files of
-// any other version are rejected before a key is read.
+// just mask version skew; so are repeated keys, within `overrides` too.
+// The leading "cachesched-crash-repro v3" line is the magic; bump the
+// version when the schema changes, so files of any other version are
+// rejected before a key is read.
 #pragma once
 
 #include <cstdint>

@@ -39,8 +39,10 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Prepares for a fresh run of `dag` on `ctx.num_cores` cores. Roots
-  /// are delivered via enqueue_ready(0, roots) by the engine after reset.
+  /// Prepares for a fresh run of `dag` on `ctx.num_cores` cores, dropping
+  /// all state of any earlier run, finished or abandoned (the simulator
+  /// repeats a run whose run-ahead broke causality). Roots are delivered
+  /// via enqueue_ready(0, roots) by the engine after reset.
   virtual void reset(const TaskDag& dag, const SchedContext& ctx) = 0;
 
   /// `ready` lists tasks that just became ready, in spawn order. `core` is

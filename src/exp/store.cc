@@ -48,10 +48,10 @@ std::optional<StoreKey> store_key(const SweepJob& job) {
   const CmpConfig& c = job.config;
   std::ostringstream os;
   os << kStoreEngineSalt << '\x1e' << workload_key(job).str() << '\x1e'
-     << job.key().str() << '\x1e'
-     << ConfigOverrides::capture(c, job.quantum_cycles).serialize() << '\x1e'
-     << c.name << '\x1f' << c.l1_hit_cycles << '\x1f' << c.l2_local_hit_cycles
-     << '\x1f' << c.bank_hop_cycles << '\x1f' << c.mem_service_cycles;
+     << job.key().str() << '\x1e' << ConfigOverrides::capture(c).serialize()
+     << '\x1e' << c.name << '\x1f' << c.l1_hit_cycles << '\x1f'
+     << c.l2_local_hit_cycles << '\x1f' << c.bank_hop_cycles << '\x1f'
+     << c.mem_service_cycles;
   StoreKey key;
   key.repr = os.str();
   key.hash = fnv1a64(key.repr);

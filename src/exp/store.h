@@ -6,7 +6,7 @@
 //
 //   workload key (spec x AppOptions x capacity/geometry config)
 //     x scheduler x tag
-//     x timing-relevant configuration fields + simulator quantum
+//     x timing-relevant configuration fields
 //     x engine version salt
 //
 // store_key() canonicalizes that identity into a StoreKey — a stable
@@ -63,7 +63,7 @@ namespace cachesched {
 /// Version salt baked into every store key and entry header. Bump when
 /// simulation results change (see file comment); stored records from
 /// other salts are treated as misses.
-inline constexpr const char* kStoreEngineSalt = "cachesched-engine-v5";
+inline constexpr const char* kStoreEngineSalt = "cachesched-engine-v6";
 
 /// Canonical full-job-identity key: `repr` is the stable serialization,
 /// `hash` its FNV-1a-64 content address (the on-disk name).

@@ -117,7 +117,6 @@ SweepRecord run_one(const SweepJob& job, const Workload& w,
     sched = "pdf";  // one core: PDF = sequential 1DF order
   }
   CmpSimulator sim(cfg);
-  if (job.quantum_cycles) sim.set_quantum_cycles(*job.quantum_cycles);
   if (options.check.any()) sim.set_check(options.check);
   // Watchdog / cancellation / stall-fault poll: only attached when one
   // of them can fire, so the common case keeps the engine poll disabled.
@@ -184,7 +183,6 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
         job.opt.fine_grained = spec.fine_grained;
         job.opt.mergesort_task_ws = spec.mergesort_task_ws;
         job.opt.seed = spec.seed;
-        job.quantum_cycles = spec.overrides.quantum_cycles;
         if (spec.sequential_baseline) {
           job.sched = kSequentialSched;
           jobs.push_back(job);

@@ -51,7 +51,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -108,7 +107,6 @@ struct SweepJob {
                       // same (app, sched, config), e.g. an ablation axis
   CmpConfig config;   // final configuration (already scaled/overridden)
   AppOptions opt;
-  std::optional<uint64_t> quantum_cycles;  // simulator run-ahead override
   WorkloadFactory factory;  // empty = make_app(app, config, opt)
 
   /// The job's sweep-point identity (app, sched, cores, tag).
@@ -133,8 +131,7 @@ struct SweepSpec {
   uint64_t mergesort_task_ws = 0;
   uint64_t seed = 42;
 
-  /// Timing overrides applied after scaling (quantum_cycles is forwarded
-  /// to each job's simulator); see simarch/config.h.
+  /// Timing overrides applied after scaling; see simarch/config.h.
   ConfigOverrides overrides;
 
   /// Optional per-(app, config) exclusion, e.g. the paper's "LU only up

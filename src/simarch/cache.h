@@ -170,12 +170,18 @@ class SetAssocCache {
 
   /// Invalidates `line` if present; returns whether it was dirty.
   bool invalidate(uint64_t line) {
-    const uint64_t set = line & mask_;
-    const size_t s = set * ways_;
-    const int w = find_way(set, line);
-    if (w < 0) return false;
-    const bool dirty = meta_[s + w].dirty;
-    meta_[s + w] = Line{};
+    Line* entry = probe(line);
+    if (entry == nullptr) return false;
+    const bool dirty = entry->dirty;
+    invalidate(entry);
+    return dirty;
+  }
+
+  /// Invalidates the valid entry `entry` (from probe/access/install).
+  void invalidate(Line* entry) {
+    const uint64_t set = entry->tag & mask_;
+    const int w = static_cast<int>(slot_of(entry) - set * ways_);
+    *entry = Line{};
     const uint32_t n = valid_cnt_[set];
     if (!wide_) {
       // Pull the way out of the valid prefix onto the free tail:
@@ -188,7 +194,6 @@ class SetAssocCache {
       ord_set_byte(row, static_cast<int>(n) - 1, static_cast<uint8_t>(w));
     }
     valid_cnt_[set] = n - 1;
-    return dirty;
   }
 
   /// Dense index of an entry returned by probe/access/install, in

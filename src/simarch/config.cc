@@ -31,7 +31,7 @@ uint64_t floor_pow2(uint64_t v) {
 
 bool ConfigOverrides::any() const {
   return l2_hit_cycles || mem_latency_cycles || l2_banks ||
-         task_dispatch_cycles || quantum_cycles;
+         task_dispatch_cycles;
 }
 
 void ConfigOverrides::apply(CmpConfig& cfg) const {
@@ -39,7 +39,6 @@ void ConfigOverrides::apply(CmpConfig& cfg) const {
   if (mem_latency_cycles) cfg.mem_latency_cycles = *mem_latency_cycles;
   if (l2_banks) cfg.l2_banks = *l2_banks;
   if (task_dispatch_cycles) cfg.task_dispatch_cycles = *task_dispatch_cycles;
-  // quantum_cycles is a simulator knob, not a config field.
 }
 
 std::string ConfigOverrides::serialize() const {
@@ -59,19 +58,15 @@ std::string ConfigOverrides::serialize() const {
   field("banks", l2_banks);
   os << ',';
   field("dispatch", task_dispatch_cycles);
-  os << ',';
-  field("quantum", quantum_cycles);
   return os.str();
 }
 
-ConfigOverrides ConfigOverrides::capture(const CmpConfig& cfg,
-                                         std::optional<uint64_t> quantum) {
+ConfigOverrides ConfigOverrides::capture(const CmpConfig& cfg) {
   ConfigOverrides o;
   o.l2_hit_cycles = cfg.l2_hit_cycles;
   o.mem_latency_cycles = cfg.mem_latency_cycles;
   o.l2_banks = cfg.l2_banks;
   o.task_dispatch_cycles = cfg.task_dispatch_cycles;
-  o.quantum_cycles = quantum;
   return o;
 }
 

@@ -79,40 +79,33 @@ struct CmpConfig {
 
 /// The timing-knob overrides an experiment may layer on top of a table
 /// configuration — the axes of the paper's sensitivity studies (fig4 L2
-/// hit time, fig5 memory latency, §5.3 banking, dispatch-cost and
-/// quantum ablations). One struct defines, applies and serializes the
-/// delta, so SweepSpec, the CLI's flag parsing and the result store's
-/// job-identity key all agree on what a config override is.
-///
-/// `quantum_cycles` is a CmpSimulator knob, not a CmpConfig field;
-/// apply() skips it and the consumer passes it to the simulator (the
-/// sweep engine does this per job).
+/// hit time, fig5 memory latency, §5.3 banking, the dispatch-cost
+/// ablation). One struct defines, applies and serializes the delta, so
+/// SweepSpec, the CLI's flag parsing and the result store's job-identity
+/// key all agree on what a config override is.
 struct ConfigOverrides {
   std::optional<int> l2_hit_cycles;
   std::optional<int> mem_latency_cycles;
   std::optional<int> l2_banks;
   std::optional<uint32_t> task_dispatch_cycles;
-  std::optional<uint64_t> quantum_cycles;
 
-  /// True if any field (including quantum_cycles) is set.
+  /// True if any field is set.
   bool any() const;
 
-  /// Overwrites the set CmpConfig fields of `cfg`; quantum_cycles is not
-  /// a config field and is left to the caller.
+  /// Overwrites the set CmpConfig fields of `cfg`.
   void apply(CmpConfig& cfg) const;
 
   /// Stable one-line serialization, e.g.
-  /// "l2_hit=19,mem_latency=-,banks=4,dispatch=-,quantum=-" ('-' =
-  /// unset). Field order is fixed; used in the result-store job key, so
-  /// changing it invalidates stored sweep records.
+  /// "l2_hit=19,mem_latency=-,banks=4,dispatch=-" ('-' = unset). Field
+  /// order is fixed; used in the result-store job key, so changing it
+  /// invalidates stored sweep records.
   std::string serialize() const;
 
   /// Fully-populated overrides capturing the timing fields of a *final*
-  /// configuration (plus a simulator quantum, if overridden): the
-  /// store's canonical timing signature, independent of which route
-  /// (table default, CLI flag, SweepSpec override) produced the value.
-  static ConfigOverrides capture(const CmpConfig& cfg,
-                                 std::optional<uint64_t> quantum);
+  /// configuration: the store's canonical timing signature, independent
+  /// of which route (table default, CLI flag, SweepSpec override)
+  /// produced the value.
+  static ConfigOverrides capture(const CmpConfig& cfg);
 };
 
 /// Table 2 configuration for a given core count (1, 2, 4, 8, 16 or 32).

@@ -33,6 +33,13 @@ using engine_detail::kBufOps;
 using engine_detail::kBufWrite;
 using engine_detail::TraceExpander;
 
+// How far past the other cores' earliest event a core runs ahead on
+// compute and L1 hits (see engine.h).
+constexpr uint64_t kRunAheadCycles = 1000;
+
+// Thrown when a run-ahead pass broke causality; run() re-runs exactly.
+struct RunAheadBroken {};
+
 struct CoreState {
   enum State : uint8_t { kIdle, kRunning, kPendingL2, kCompleting };
   State state = kIdle;
@@ -74,19 +81,21 @@ struct CoreState {
 // core with the smallest (time, id) — one P-element scan per event
 // (P <= 32) instead of heap churn on every shared-L2 access. The same
 // scan also yields the earliest event of any *other* core, which bounds
-// the dispatched core's local run-ahead (quantum), so the hot path never
-// rescans. While the dispatched core's next shared-L2 access falls
-// strictly before every other core's event it is performed inline in the
-// same run (run_core) — the event the scan would pick next is this core's
+// the dispatched core's local run-ahead, so the hot path never rescans.
+// While the dispatched core's next shared-L2 access falls strictly
+// before every other core's event it is performed inline in the same
+// run (run_core) — the event the scan would pick next is this core's
 // anyway — so the per-reference path on the L2-dominated workloads never
 // leaves the run loop or spills its accumulator state.
 // The loop is additionally templated on the checker type (src/check/):
 // the default NoCheck instantiation compiles every hook away under
 // `if constexpr`, so the disarmed hot path — the one perfbench times —
 // is untouched; an armed run instantiates the generic-scheduler path
-// with check::Checker and `chk` non-null.
+// with check::Checker and `chk` non-null. `exact` selects the pass:
+// false runs ahead and throws RunAheadBroken on a detected violation;
+// true takes every op in exact order (engine.h).
 template <class S, class CK = check::NoCheck>
-SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
+SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
                    const TaskDag& dag, S& sched,
                    const robust::RunGuard* guard, CK* chk = nullptr) {
   const int P = cfg.cores;
@@ -116,6 +125,16 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
   // chain of loads and cmovs; id bits never change the time order because
   // cycle counts stay far below 2^58. Kept in sync with cores[i].
   std::vector<uint64_t> evt(P, UINT64_MAX);
+  // Per core and L1 slot, the (time, core) key of the slot's last hit. A
+  // stale stamp never raises a false alarm: refilling the slot is an L2
+  // access, performed in key order after that hit and before any
+  // invalidation of the new line. It is kept per thread across runs:
+  // freeing it after every run shifted glibc's heap trimming enough to
+  // slow a following workload build by 15-40% (shared-l2 `setup_s`).
+  const uint64_t l1_lines = l1[0].capacity_lines();
+  static thread_local std::vector<uint64_t> stamps;
+  stamps.assign(P * l1_lines, 0);
+  bool broke = false;  // an invalidation found a later stamp
   std::vector<uint32_t> indeg(dag.num_tasks());
   for (TaskId t = 0; t < dag.num_tasks(); ++t) {
     indeg[t] = dag.task(t).num_parents;
@@ -187,17 +206,22 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
   // core) — exactly the accesses the event loop would have chained back
   // to this core anyway, now without leaving the loop or spilling the
   // accumulator locals. Exits when the task's trace is exhausted
-  // (kCompleting), when it runs `quantum` cycles past `other_min`
-  // (yield), or when an access is due at or after `other_min` — then the
-  // reference is left pending (kPendingL2) for the next dispatch, which
-  // re-enters here and performs it first. The yield check sits before
-  // every op and every event-ordering decision matches the event-queue
-  // formulation; tests/golden_sim_test.cc pins the equivalence.
+  // (kCompleting), when its time passes `limit` (yield), or when an
+  // access is due at or after `other_min` — then the reference is left
+  // pending (kPendingL2) for the next dispatch, which re-enters here and
+  // performs it first. The yield check sits before every op and every
+  // event-ordering decision matches the event-queue formulation;
+  // tests/golden_sim_test.cc pins the equivalence.
   auto run_core = [&](int c, uint64_t other_min, uint64_t other_key) {
     CoreState& core = cores[c];
     SetAssocCache& cache = l1[c];
+    uint64_t* const stamp = &stamps[c * l1_lines];
+    // Run-ahead: up to kRunAheadCycles past other_min (saturating). Exact:
+    // the inline L2 path's key rule as a time bound, so a tie at other_min
+    // yields to a lower core id (c won the scan then, so other_min > 0).
     const uint64_t limit =
-        other_min > UINT64_MAX - quantum ? UINT64_MAX : other_min + quantum;
+        exact ? other_min - (c > static_cast<int>(other_key & 31))
+              : other_min + std::min(kRunAheadCycles, UINT64_MAX - other_min);
     const uint32_t mybit = 1u << c;
 
     int head = core.head;
@@ -239,11 +263,22 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
         // its shadow presence mask and tick entries off via on_inval.
         if constexpr (CK::kArmed) chk->on_l2_hit(c, line, write);
         if (write) {
+          // A copy hit later than this write breaks causality. Run-ahead
+          // compares (time, core) keys; that also flags a same-cycle hit
+          // that exact order takes first, because this write's task was
+          // dispatched later in the cycle (engine.h): a spare re-run,
+          // never a missed violation. The exact pass takes ops in
+          // non-decreasing time and compares with (t, 31), the cycle's
+          // last key: only a hit in a later cycle counts, and is a bug.
+          const uint64_t key = evt_key(t, exact ? 31 : c);
           uint32_t others = e->presence & ~mybit;
           while (others) {
             const int i = std::countr_zero(others);
             others &= others - 1;
-            l1[i].invalidate(line);
+            if (SetAssocCache::Line* v = l1[i].probe(line)) {
+              broke |= stamps[i * l1_lines + l1[i].slot_of(v)] > key;
+              l1[i].invalidate(v);
+            }
             if constexpr (CK::kArmed) chk->on_inval(i, line);
             ++acc_invalidations;
           }
@@ -338,6 +373,7 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
       acc_instr += ipr;
       if (SetAssocCache::Line* e = cache.access(op.v)) {
         e->dirty |= wr;
+        stamp[cache.slot_of(e)] = evt_key(time, c);
         if constexpr (CK::kArmed) chk->on_l1_hit(c, op.v, wr);
         ++acc_l1_hits;
         time += ipr;
@@ -443,6 +479,10 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
       // own time) and keeps chaining accesses inline while their keys
       // precede k2, so no separate chain loop remains here.
       run_core(c, t2, k2);
+      if (broke) [[unlikely]] {
+        if (exact) throw std::logic_error("causality violation, exact pass");
+        throw RunAheadBroken{};
+      }
     }
   }
 
@@ -476,28 +516,36 @@ CmpSimulator::CmpSimulator(const CmpConfig& config)
 }
 
 SimResult CmpSimulator::run(const TaskDag& dag, Scheduler& sched) {
-  check_stats_ = check::CheckStats{};
-  if (check_.any()) {
-    // Armed runs take the generic-scheduler instantiation: checking is a
-    // verification mode, so devirtualized dispatch buys nothing, and one
-    // extra instantiation of the templated loop keeps the four disarmed
-    // fast paths untouched.
-    check::Checker chk(check_);
-    const SimResult r = simulate<Scheduler, check::Checker>(
-        cfg_, quantum_, collect_task_stats_, dag, sched, guard_, &chk);
-    check_stats_ = chk.stats();
-    return r;
+  auto pass = [&](bool exact) {
+    check_stats_ = check::CheckStats{};
+    if (check_.any()) {
+      // Armed runs take the generic-scheduler instantiation: checking is
+      // a verification mode, so devirtualized dispatch buys nothing, and
+      // one extra instantiation of the templated loop keeps the four
+      // disarmed fast paths untouched. Each pass gets a fresh checker.
+      check::Checker chk(check_);
+      const SimResult r = simulate<Scheduler, check::Checker>(
+          cfg_, exact, collect_task_stats_, dag, sched, guard_, &chk);
+      check_stats_ = chk.stats();
+      return r;
+    }
+    if (auto* s = dynamic_cast<PdfScheduler*>(&sched)) {
+      return simulate(cfg_, exact, collect_task_stats_, dag, *s, guard_);
+    }
+    if (auto* s = dynamic_cast<WsScheduler*>(&sched)) {
+      return simulate(cfg_, exact, collect_task_stats_, dag, *s, guard_);
+    }
+    if (auto* s = dynamic_cast<CentralFifoScheduler*>(&sched)) {
+      return simulate(cfg_, exact, collect_task_stats_, dag, *s, guard_);
+    }
+    return simulate(cfg_, exact, collect_task_stats_, dag, sched, guard_);
+  };
+  try {
+    return pass(false);
+  } catch (const RunAheadBroken&) {
+    ++exact_reruns_;
+    return pass(true);
   }
-  if (auto* s = dynamic_cast<PdfScheduler*>(&sched)) {
-    return simulate(cfg_, quantum_, collect_task_stats_, dag, *s, guard_);
-  }
-  if (auto* s = dynamic_cast<WsScheduler*>(&sched)) {
-    return simulate(cfg_, quantum_, collect_task_stats_, dag, *s, guard_);
-  }
-  if (auto* s = dynamic_cast<CentralFifoScheduler*>(&sched)) {
-    return simulate(cfg_, quantum_, collect_task_stats_, dag, *s, guard_);
-  }
-  return simulate(cfg_, quantum_, collect_task_stats_, dag, sched, guard_);
 }
 
 }  // namespace cachesched

@@ -6,8 +6,9 @@
 // only writes dirty data off-chip. (Strict inclusion is not viable across
 // the paper's design space — its own 26-core/1 MB-L2 point has 1.6 MB of
 // aggregate L1.) Write coherence is tracked with per-line L1-presence
-// masks while the line is L2-resident; a write invalidates other L1
-// copies. For the studied workloads, whose concurrent writes target
+// masks while the line is L2-resident: a write that misses the L1
+// invalidates the other L1 copies, and an L1 write hit only sets the
+// dirty bit. For the studied workloads, whose concurrent writes target
 // disjoint regions, this model is exact up to line-boundary sharing.
 //
 // Timing model (per Table 1):
@@ -19,14 +20,20 @@
 //    L2 miss;
 //  * task dispatch costs task_dispatch_cycles on the acquiring core.
 //
-// Causality: cores advance through a global min-time event queue. A running
-// core may process references locally (private L1 hits do not touch shared
-// state) but only up to `sim_quantum_cycles` past the earliest pending
-// event; every shared-L2 access, task completion and dispatch is processed
-// in exact global time order. With quantum = 0 interleaving is fully exact;
-// the default small quantum only affects the timing of cross-core L1
-// invalidations, which the studied workloads (disjoint writes) are
-// insensitive to.
+// Causality: every shared-L2 access, task completion and dispatch is
+// processed in exact global order: the pending event with the smallest
+// (time, core) key goes next. A task dispatched at cycle t with zero
+// dispatch cost therefore starts after the ops other cores already took
+// at t, lower core ids included. Between shared events a running core
+// runs ahead of the other cores' pending events through compute and
+// private-L1 hits, which touch no shared state. That is exact unless
+// another core's write, earlier in global order, invalidates a line the
+// core has already hit. So every L1 hit stamps its L1 slot with its
+// (time, core) key, and an invalidation that finds a later stamp abandons
+// the run, which then repeats with no run-ahead (exact_reruns() counts
+// these). A same-cycle stamp can also come from a hit that exact order
+// takes first (a zero-cost dispatch as above); that costs a spare re-run,
+// never a wrong result. Results equal exact interleaving by construction.
 #pragma once
 
 #include <cstdint>
@@ -108,11 +115,9 @@ class CmpSimulator {
   explicit CmpSimulator(const CmpConfig& config);
 
   /// Executes `dag` to completion under `sched` and returns the statistics.
-  /// Deterministic: identical inputs give identical results.
+  /// Deterministic: identical inputs give identical results. `sched` is
+  /// reset at the start, and again if the run repeats (file comment).
   SimResult run(const TaskDag& dag, Scheduler& sched);
-
-  /// Extra run-ahead window; see file comment. 0 = exact interleaving.
-  void set_quantum_cycles(uint64_t q) { quantum_ = q; }
 
   /// Record per-task miss/reference counts in the result.
   void set_collect_task_stats(bool v) { collect_task_stats_ = v; }
@@ -136,11 +141,15 @@ class CmpSimulator {
   /// removes the poll entirely — the hot path is unaffected.
   void set_run_guard(const robust::RunGuard* g) { guard_ = g; }
 
+  /// run() calls on this simulator whose run-ahead broke causality and
+  /// that repeated with no run-ahead (see file comment).
+  uint64_t exact_reruns() const { return exact_reruns_; }
+
   const CmpConfig& config() const { return cfg_; }
 
  private:
   CmpConfig cfg_;
-  uint64_t quantum_ = 1000;
+  uint64_t exact_reruns_ = 0;
   bool collect_task_stats_ = false;
   const robust::RunGuard* guard_ = nullptr;
   check::CheckSpec check_;  // constructor applies $CACHESCHED_CHECK

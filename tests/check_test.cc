@@ -151,6 +151,28 @@ TEST(CheckedRun, DisarmedRunReportsZeroStats) {
   EXPECT_EQ(sim.check_stats().audits, 0u);
 }
 
+// Core 1's run-ahead hits line 0 past core 0's write, so the run repeats
+// exactly; the repeat runs under a fresh checker, whose statistics cover
+// that pass alone, and matches the disarmed run.
+TEST(CheckedRun, ExactRerunIsCheckedAfresh) {
+  DagBuilder b;
+  b.add_task({}, {RefBlock::compute(500),
+                  RefBlock::stride_ref(0, 1, 128, true, 1)});
+  b.add_task({}, {RefBlock::stride_ref(0, 50, 0, false, 8)});
+  const TaskDag dag = b.finish();
+  PdfScheduler base_s;
+  const SimResult base = CmpSimulator(tiny_config(2)).run(dag, base_s);
+
+  CmpSimulator sim(tiny_config(2));
+  sim.set_check(CheckSpec::all(/*period=*/1));
+  PdfScheduler s;
+  const SimResult r = sim.run(dag, s);
+  EXPECT_EQ(sim.exact_reruns(), 1u);
+  EXPECT_TRUE(r == base) << "arming the checkers changed the result";
+  EXPECT_EQ(sim.check_stats().refs, r.total_refs());
+  EXPECT_GT(sim.check_stats().audits, 0u);
+}
+
 // -------------------------------------------------- planted-bug mutations
 
 // Each test drives the hooks exactly as a buggy engine would and asserts
@@ -392,7 +414,7 @@ TEST(CrashReproFile, Rejections) {
   // A file of the older v1 schema is refused by its magic line, before
   // any key is read.
   std::string v1 = good;
-  v1.replace(v1.find(" v2\n"), 4, " v1\n");
+  v1.replace(v1.find(" v3\n"), 4, " v1\n");
   EXPECT_THROW(CrashRepro::parse(v1), std::invalid_argument);
   // Unknown key.
   EXPECT_THROW(CrashRepro::parse(good + "mystery=1\n"), std::invalid_argument);
@@ -409,6 +431,46 @@ TEST(CrashReproFile, Rejections) {
   const size_t c = badval.find("cores=");
   badval.replace(c, badval.find('\n', c) - c, "cores=banana");
   EXPECT_THROW(CrashRepro::parse(badval), std::invalid_argument);
+}
+
+// A reproducer whose overrides line is `overrides`.
+std::string repro_with_overrides(const std::string& overrides) {
+  CrashRepro base;
+  base.workload = "lu";
+  base.sched = "ws";
+  base.violation = "x";
+  std::string text = base.serialize();
+  const size_t at = text.find("overrides=");
+  text.replace(at, text.find('\n', at) - at, "overrides=" + overrides);
+  return text;
+}
+
+TEST(CrashReproFile, OverridesRejectUnknownAndRepeatedKeys) {
+  const std::string ok = repro_with_overrides("l2_hit=7,banks=-");
+  EXPECT_EQ(CrashRepro::parse(ok).overrides.l2_hit_cycles, 7);
+  // Unknown keys fail whatever their value ('-' included), and so does
+  // `quantum`, which is no longer a key; each key may appear once.
+  for (const char* bad :
+       {"l2_hit=-,bogus=-,mem_latency=-", "l2_hit=-,quantum=5",
+        "l2_hit=-,l2_hit=7,l2_hit=9", "banks=4,banks=-"}) {
+    EXPECT_THROW(CrashRepro::parse(repro_with_overrides(bad)),
+                 std::invalid_argument)
+        << bad;
+  }
+}
+
+TEST(CrashReproFile, OlderVersionIsRejectedByName) {
+  std::string v2 = repro_with_overrides(
+      "l2_hit=-,mem_latency=-,banks=-,dispatch=-,quantum=-");
+  v2.replace(v2.find(" v3\n"), 4, " v2\n");
+  try {
+    (void)CrashRepro::parse(v2);
+    FAIL() << "a v2 reproducer parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cachesched-crash-repro v2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CrashReproFile, SaveLoadRoundTrips) {

@@ -98,7 +98,7 @@ TEST(Config, DescribeMentionsKeyParameters) {
 TEST(ConfigOverrides, AnyIsFalseOnlyWhenEmpty) {
   ConfigOverrides o;
   EXPECT_FALSE(o.any());
-  o.quantum_cycles = 0;  // engaged optional counts, even at 0
+  o.task_dispatch_cycles = 0;  // engaged optional counts, even at 0
   EXPECT_TRUE(o.any());
   o = {};
   o.l2_banks = 8;
@@ -118,26 +118,14 @@ TEST(ConfigOverrides, ApplySetsOnlyEngagedFields) {
   EXPECT_EQ(cfg.task_dispatch_cycles, base.task_dispatch_cycles);
 }
 
-TEST(ConfigOverrides, QuantumIsNotAConfigField) {
-  const CmpConfig base = default_config(8);
-  ConfigOverrides o;
-  o.quantum_cycles = 5000;
-  CmpConfig cfg = base;
-  o.apply(cfg);
-  EXPECT_EQ(cfg.l2_hit_cycles, base.l2_hit_cycles);
-  EXPECT_EQ(cfg.mem_latency_cycles, base.mem_latency_cycles);
-}
-
 TEST(ConfigOverrides, SerializeIsStableAndDistinguishesUnsetFromZero) {
   ConfigOverrides o;
-  EXPECT_EQ(o.serialize(),
-            "l2_hit=-,mem_latency=-,banks=-,dispatch=-,quantum=-");
+  EXPECT_EQ(o.serialize(), "l2_hit=-,mem_latency=-,banks=-,dispatch=-");
   o.l2_hit_cycles = 19;
   o.l2_banks = 4;
-  EXPECT_EQ(o.serialize(),
-            "l2_hit=19,mem_latency=-,banks=4,dispatch=-,quantum=-");
+  EXPECT_EQ(o.serialize(), "l2_hit=19,mem_latency=-,banks=4,dispatch=-");
   ConfigOverrides zero;
-  zero.quantum_cycles = 0;
+  zero.task_dispatch_cycles = 0;
   EXPECT_NE(zero.serialize(), ConfigOverrides{}.serialize());
 }
 
@@ -145,12 +133,12 @@ TEST(ConfigOverrides, CaptureRoundTripsThroughApply) {
   CmpConfig cfg = default_config(8);
   cfg.l2_hit_cycles = 17;
   cfg.l2_banks = 16;
-  const ConfigOverrides o = ConfigOverrides::capture(cfg, 1234);
+  const ConfigOverrides o = ConfigOverrides::capture(cfg);
   CmpConfig other = default_config(8);
   o.apply(other);
   EXPECT_EQ(other.l2_hit_cycles, 17);
   EXPECT_EQ(other.l2_banks, 16);
-  EXPECT_EQ(o.serialize(), ConfigOverrides::capture(other, 1234).serialize());
+  EXPECT_EQ(o.serialize(), ConfigOverrides::capture(other).serialize());
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
+#include <vector>
+
 #include "core/dag.h"
 #include "sched/central_fifo_scheduler.h"
 #include "sched/pdf_scheduler.h"
@@ -25,11 +29,13 @@ CmpConfig tiny_config(int cores) {
   return c;
 }
 
+// `reruns`, if given, receives the fresh simulator's exact_reruns().
 SimResult run(const TaskDag& dag, const CmpConfig& cfg, Scheduler& s,
-              uint64_t quantum = 1000) {
+              uint64_t* reruns = nullptr) {
   CmpSimulator sim(cfg);
-  sim.set_quantum_cycles(quantum);
-  return sim.run(dag, s);
+  SimResult r = sim.run(dag, s);
+  if (reruns != nullptr) *reruns = sim.exact_reruns();
+  return r;
 }
 
 // Whole-result equality, per-core and per-task vectors included.
@@ -177,10 +183,13 @@ TEST(Engine, WriteInvalidatesOtherL1Copies) {
   b.add_task({a}, {RefBlock::stride_ref(0, 8, 128, false, 1)});
   auto dag = b.finish();
   PdfScheduler s;
-  const SimResult r = run(dag, tiny_config(2), s, /*quantum=*/0);
+  const SimResult r = run(dag, tiny_config(2), s);
   EXPECT_GT(r.invalidations, 0u);
 }
 
+// Random reads and writes over 512 shared lines break causality under
+// run-ahead; the re-run gives exact interleaving's result (run-ahead
+// alone: 23 L1 hits, 824 L2 hits).
 TEST(Engine, DeterministicAcrossRuns) {
   DagBuilder b;
   const TaskId root = b.add_task({}, {RefBlock::compute(10)});
@@ -189,10 +198,132 @@ TEST(Engine, DeterministicAcrossRuns) {
   }
   auto dag = b.finish();
   WsScheduler s1, s2;
-  expect_identical(run(dag, tiny_config(4), s1), run(dag, tiny_config(4), s2));
+  uint64_t reruns = 0;
+  const SimResult r = run(dag, tiny_config(4), s1, &reruns);
+  expect_identical(r, run(dag, tiny_config(4), s2));
+  EXPECT_EQ(reruns, 1u);
+  EXPECT_EQ(r.cycles, 17429u);
+  EXPECT_EQ(r.l1_hits, 21u);
+  EXPECT_EQ(r.l2_hits, 826u);
+  EXPECT_EQ(r.l2_misses, 153u);
+  EXPECT_EQ(r.invalidations, 405u);
+  EXPECT_EQ(r.writebacks, 93u);
 }
 
-TEST(Engine, QuantumZeroMatchesDefaultOnDisjointWrites) {
+// Core 0 writes line 0 at cycle 500 while core 1 re-reads it, an L1 hit
+// every 8 cycles from cycle 307. Run-ahead takes all of core 1's hits
+// before the write; the write's invalidation finds a later stamp, and the
+// run repeats exactly: 25 hits before the write, an L2 hit at 507, 23
+// hits after (run-ahead alone would report 699 cycles, 49 L1 hits and 1
+// L2 hit).
+TEST(Engine, HitPastAnInvalidatingWriteRerunsExactly) {
+  DagBuilder b;
+  b.add_task({}, {RefBlock::compute(500),
+                  RefBlock::stride_ref(0, 1, 128, true, 1)});
+  b.add_task({}, {RefBlock::stride_ref(0, 50, 0, false, 8)});
+  const TaskDag dag = b.finish();
+  PdfScheduler s;
+  uint64_t reruns = 0;
+  const SimResult r = run(dag, tiny_config(2), s, &reruns);
+  EXPECT_EQ(reruns, 1u);
+  EXPECT_EQ(r.cycles, 708u);
+  EXPECT_EQ(r.l1_hits, 48u);
+  EXPECT_EQ(r.l2_hits, 2u);
+  EXPECT_EQ(r.l2_misses, 1u);
+  EXPECT_EQ(r.invalidations, 1u);
+}
+
+// Core 1's last read of line 0 is an L1 hit at cycle 500, the cycle in
+// which core 0 writes the line. Exact order takes the write first (lower
+// core id), so the read goes to the L2; run-ahead takes the hit first,
+// and its same-cycle stamp must be flagged (run-ahead alone reports 1,501
+// cycles, 201 L1 hits and 1 L2 hit).
+TEST(Engine, SameCycleHitAfterAWriteRerunsExactly) {
+  DagBuilder b;
+  b.add_task({}, {RefBlock::compute(500),
+                  RefBlock::stride_ref(0, 1, 128, true, 1)});
+  b.add_task({}, {RefBlock::stride_ref(0, 202, 0, false, 1),
+                  RefBlock::compute(1000)});
+  const TaskDag dag = b.finish();
+  PdfScheduler s;
+  uint64_t reruns = 0;
+  const SimResult r = run(dag, tiny_config(2), s, &reruns);
+  EXPECT_EQ(reruns, 1u);
+  EXPECT_EQ(r.cycles, 1510u);
+  EXPECT_EQ(r.l1_hits, 200u);
+  EXPECT_EQ(r.l2_hits, 2u);
+  EXPECT_EQ(r.l2_misses, 1u);
+  EXPECT_EQ(r.invalidations, 1u);
+}
+
+// With zero dispatch cost, a task dispatched at cycle t runs after the
+// ops other cores already took at t, lower core ids included. Core 1 hits
+// line 0 at cycle 1000, then core 2 completes at 1000 and its second
+// child, on idle core 0, writes line 0 at 1000. In exact order that write
+// follows the hit, so the exact pass must not flag it. Run-ahead's result
+// was already exact here; its same-cycle stamp costs a spare re-run.
+TEST(Engine, ZeroDispatchForkAfterSameCycleHitIsExact) {
+  DagBuilder b;
+  b.add_task({}, {RefBlock::compute(1)});
+  b.add_task({}, {RefBlock::stride_ref(0, 2000, 0, false, 1)});
+  const TaskId a = b.add_task({}, {RefBlock::compute(1000)});
+  for (int i = 0; i < 2; ++i) {
+    b.add_task({a}, {RefBlock::stride_ref(0, 1, 128, true, 1)});
+  }
+  const TaskDag dag = b.finish();
+  PdfScheduler s;
+  uint64_t reruns = 0;
+  SimResult r;
+  ASSERT_NO_THROW(r = run(dag, tiny_config(3), s, &reruns));
+  EXPECT_EQ(reruns, 1u);
+  EXPECT_EQ(r.cycles, 2308u);
+  EXPECT_EQ(r.l1_hits, 1998u);
+  EXPECT_EQ(r.l2_hits, 3u);
+  EXPECT_EQ(r.l2_misses, 1u);
+  EXPECT_EQ(r.invalidations, 2u);
+}
+
+// Seeded variants of the DAG above on 3 to 8 cores: core 0 idles early,
+// the middle cores read one of two lines every cycle, and the last core
+// forks one child per core, each first writing one of the lines. Every
+// run finishes and repeats identically, and some take the exact pass.
+TEST(Engine, ExactPassFinishesOnSameCycleForks) {
+  uint64_t reruns = 0;
+  for (int cores : {3, 5, 8}) {
+    for (uint64_t seed = 0; seed < 8; ++seed) {
+      std::mt19937_64 rng(seed);
+      auto line = [&rng] { return (rng() % 2) * 128; };
+      DagBuilder b;
+      b.add_task({}, {RefBlock::compute(1 + rng() % 50)});
+      for (int i = 1; i < cores - 1; ++i) {
+        const auto refs = static_cast<uint32_t>(300 + rng() % 2000);
+        b.add_task({}, {RefBlock::stride_ref(line(), refs, 0, false, 1)});
+      }
+      const TaskId f = b.add_task({}, {RefBlock::compute(300 + rng() % 1500)});
+      for (int i = 0; i < cores; ++i) {
+        const auto refs = static_cast<uint32_t>(1 + rng() % 8);
+        b.add_task({f}, {RefBlock::stride_ref(line(), refs, 0, true, 1),
+                         RefBlock::compute(1 + rng() % 50)});
+      }
+      const TaskDag dag = b.finish();
+      for (auto make :
+           {+[]() -> Scheduler* { return new PdfScheduler; },
+            +[]() -> Scheduler* { return new WsScheduler; },
+            +[]() -> Scheduler* { return new CentralFifoScheduler; }}) {
+        std::unique_ptr<Scheduler> s1(make()), s2(make());
+        uint64_t n = 0;
+        SimResult r;
+        ASSERT_NO_THROW(r = run(dag, tiny_config(cores), *s1, &n))
+            << s1->name() << ", " << cores << " cores, seed " << seed;
+        expect_identical(r, run(dag, tiny_config(cores), *s2));
+        reruns += n;
+      }
+    }
+  }
+  EXPECT_GT(reruns, 0u);
+}
+
+TEST(Engine, DisjointWritesNeedNoRerun) {
   DagBuilder b;
   const TaskId root = b.add_task({}, {RefBlock::compute(1)});
   for (int i = 0; i < 8; ++i) {
@@ -200,11 +331,11 @@ TEST(Engine, QuantumZeroMatchesDefaultOnDisjointWrites) {
                                              true, 2)});
   }
   auto dag = b.finish();
-  PdfScheduler s1, s2;
-  const SimResult exact = run(dag, tiny_config(4), s1, 0);
-  const SimResult fast = run(dag, tiny_config(4), s2, 1000);
-  EXPECT_EQ(exact.cycles, fast.cycles);
-  EXPECT_EQ(exact.l2_misses, fast.l2_misses);
+  PdfScheduler s;
+  uint64_t reruns = 1;
+  const SimResult r = run(dag, tiny_config(4), s, &reruns);
+  EXPECT_EQ(reruns, 0u);
+  EXPECT_EQ(r.l2_misses, 256u);
 }
 
 TEST(Engine, GreedyNoIdleCoreWhileWorkPending) {

@@ -89,7 +89,7 @@ TEST(StoreKeyTest, DeterministicAndSensitiveToIdentity) {
   j.config.mem_latency_cycles += 100;
   EXPECT_NE(store_key(j)->repr, k1->repr);
   j = base;
-  j.quantum_cycles = 0;
+  j.config.task_dispatch_cycles += 1;
   EXPECT_NE(store_key(j)->repr, k1->repr);
   j = base;
   j.opt.seed += 1;

@@ -148,7 +148,7 @@ TEST(SweepRun, JobKeyEqualityHashAndSerialization) {
   EXPECT_NE(c.str(), d.str());
 }
 
-TEST(SweepRun, CustomFactoryAndQuantumOverride) {
+TEST(SweepRun, CustomFactory) {
   const CmpConfig cfg = default_config(2).scaled(kScale);
   AppOptions opt;
   opt.scale = kScale;
@@ -158,7 +158,6 @@ TEST(SweepRun, CustomFactoryAndQuantumOverride) {
   job.sched = "pdf";
   job.config = cfg;
   job.opt = opt;
-  job.quantum_cycles = 0;  // exact interleaving
   job.factory = [&factory_calls, &cfg](const CmpConfig&, const AppOptions& o) {
     ++factory_calls;
     return make_app("matmul", cfg, o);

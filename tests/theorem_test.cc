@@ -39,7 +39,6 @@ CmpConfig ideal_cache_config(int cores, uint64_t lines) {
 
 uint64_t misses(const TaskDag& dag, const CmpConfig& cfg, Scheduler&& s) {
   CmpSimulator sim(cfg);
-  sim.set_quantum_cycles(0);
   return sim.run(dag, s).l2_misses;
 }
 

@@ -26,7 +26,7 @@
 //                        [--tech=default|45nm] [--seq] [--jobs=N]
 //                        [--csv=path] [--json=path] [--progress]
 //                        [--l2-hit=N] [--mem-latency=N] [--banks=N]
-//                        [--dispatch=N] [--quantum=N] # parallel job matrix
+//                        [--dispatch=N]             # parallel job matrix
 //   cachesched_cli sweep ... --store=DIR [--resume]   # incremental: load
 //                        completed jobs from the content-addressed result
 //                        store, simulate + persist only the rest
@@ -68,8 +68,8 @@
 // `list` prints each scheduler's keys and defaults).
 //
 // The timing-override flags (--l2-hit, --mem-latency, --banks,
-// --dispatch, --quantum) are parsed once into a ConfigOverrides
-// (simarch/config.h) and accepted by run/trace/replay/sweep alike.
+// --dispatch) are parsed once into a ConfigOverrides (simarch/config.h)
+// and accepted by run/trace/replay/sweep alike.
 //
 // Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage
 // error (unknown flags/subcommands, malformed flag values including an
@@ -148,9 +148,6 @@ ConfigOverrides overrides_from_args(const CliArgs& args) {
   if (args.has("banks")) o.l2_banks = args.get_int("banks", 0);
   if (args.has("dispatch")) {
     o.task_dispatch_cycles = args.get_int<uint32_t>("dispatch", 0);
-  }
-  if (args.has("quantum")) {
-    o.quantum_cycles = args.get_int<uint64_t>("quantum", 0);
   }
   return o;
 }
@@ -240,14 +237,12 @@ int fail_verify(const CheckFlags& cf, const check::CrashRepro& repro) {
 /// sched/op_index/violation fields are filled in here); an invariant
 /// violation writes the reproducer and returns kExitVerifyFailed.
 int report(const TaskDag& dag, const CmpConfig& cfg,
-           const std::vector<std::string>& scheds,
-           std::optional<uint64_t> quantum, const CheckFlags& cf,
+           const std::vector<std::string>& scheds, const CheckFlags& cf,
            check::CrashRepro base) {
   Table t({"sched", "cycles", "L2miss/1Kinstr", "l1_hits", "l2_hits",
            "l2_misses", "bw_util%", "core_util%", "steals"});
   for (const auto& sched : scheds) {
     CmpSimulator sim(cfg);
-    if (quantum) sim.set_quantum_cycles(*quantum);
     if (cf.check.any()) sim.set_check(cf.check);
     auto s = make_scheduler(sched);
     base.sched = sched;
@@ -308,8 +303,7 @@ int cmd_run(const CliArgs& args) {
             << " tasks, " << w.dag.total_refs() << " refs)\n";
   check::CrashRepro base = base_repro(args, cf, opt);
   base.workload = app;
-  return report(w.dag, cfg, scheds, overrides_from_args(args).quantum_cycles,
-                cf, std::move(base));
+  return report(w.dag, cfg, scheds, cf, std::move(base));
 }
 
 int cmd_trace(const CliArgs& args) {
@@ -354,8 +348,7 @@ int cmd_replay(const CliArgs& args) {
   // A replayed DAG has no generator spec; replay-crash resolves the
   // "dagfile:" prefix by loading the same file.
   base.workload = "dagfile:" + path;
-  return report(dag, cfg, scheds, overrides_from_args(args).quantum_cycles,
-                cf, std::move(base));
+  return report(dag, cfg, scheds, cf, std::move(base));
 }
 
 /// `replay-crash`: re-creates the run a crash reproducer captured —
@@ -403,9 +396,6 @@ int cmd_replay_crash(const CliArgs& args) {
   }
 
   CmpSimulator sim(cfg);
-  if (r.overrides.quantum_cycles) {
-    sim.set_quantum_cycles(*r.overrides.quantum_cycles);
-  }
   if (!r.check.empty()) sim.set_check(check::CheckSpec::parse(r.check));
   auto s = make_scheduler(sched);
   try {

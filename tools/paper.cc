@@ -14,7 +14,7 @@
 // Every experiment parameter is a named constant at the scale, core
 // counts and axis values the figures use. Other points run through
 // `cachesched_cli sweep` (--scales, --cores, --task-ws, --l2-hit,
-// --mem-latency, --banks, --dispatch, --quantum).
+// --mem-latency, --banks, --dispatch).
 //
 // bench/golden/paper.txt pins the stdout of every artifact except
 // table_profiler, whose seconds/speedup cells are wall-clock.
@@ -709,19 +709,16 @@ void table_summary(const Paper& p) {
 
 // ----------------------------------------------------------- Ablations
 
-// Three ablations of the headline result on the 16-core default config:
+// Two ablations of the headline result on the 16-core default config:
 //  1. policy: PDF vs WS vs a centralized greedy FIFO, which tracks
 //     neither sequential order nor per-core locality; if PDF's win came
 //     from "any central queue", FIFO would match it;
 //  2. dispatch overhead: PDF's central queue is charged the same per
 //     dispatch as WS's deques; sweeping the cost shows the conclusion is
-//     robust (the paper's tasks are ~10^5 instructions);
-//  3. simulator quantum: relaxed run-ahead vs exact causal interleaving
-//     (quantum 0).
+//     robust (the paper's tasks are ~10^5 instructions).
 void ablation_scheduler(const Paper& p) {
   constexpr int kCores = 16;
   const std::vector<uint32_t> kDispatch = {0, 100, 400, 1000, 4000};
-  const std::vector<uint64_t> kQuanta = {0, 1000, 100000};
   const CmpConfig cfg = default_config(kCores).scaled(kSmallScale);
   const AppOptions opt = app_options(kSmallScale);
 
@@ -738,12 +735,6 @@ void ablation_scheduler(const Paper& p) {
     for (const char* sched : {"pdf", "ws"}) {
       matrix.push_back(sweep_job("mergesort", sched, tag, c2, opt));
     }
-  }
-  for (uint64_t q : kQuanta) {
-    SweepJob job =
-        sweep_job("mergesort", "pdf", "quantum" + std::to_string(q), cfg, opt);
-    job.quantum_cycles = q;
-    matrix.push_back(std::move(job));
   }
   const SweepResults res = run_sweep(std::move(matrix), p.sweep());
 
@@ -773,17 +764,6 @@ void ablation_scheduler(const Paper& p) {
   }
   std::cout << "\n=== Ablation 2: task dispatch overhead (mergesort) ===\n";
   dispatch.emit(p.csv("ablation_scheduler_dispatch"));
-
-  Table quantum({"quantum_cycles", "pdf_cycles", "pdf_l2_misses"});
-  for (uint64_t q : kQuanta) {
-    const SimResult& r =
-        res.find("mergesort", "pdf", kCores, "quantum" + std::to_string(q))
-            ->result;
-    quantum.add_row(
-        {Table::num(q), Table::num(r.cycles), Table::num(r.l2_misses)});
-  }
-  std::cout << "\n=== Ablation 3: causality quantum (mergesort, pdf) ===\n";
-  quantum.emit(p.csv("ablation_scheduler_quantum"));
 }
 
 /// One representative src/gen spec per family, comparable in total work,
