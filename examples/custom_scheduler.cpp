@@ -6,6 +6,10 @@
 // and WS separates how much of PDF's win is *policy* rather than mere
 // greedy load balance.
 //
+// The simulator checks the scheduler contract on every run: handing out a
+// task twice, or before its parents complete, throws std::logic_error
+// naming the scheduler, the task and the core.
+//
 //   $ ./custom_scheduler [--scale=0.0625] [--cores=16]
 #include <cstdio>
 #include <vector>

@@ -49,9 +49,8 @@ std::optional<StoreKey> store_key(const SweepJob& job) {
   std::ostringstream os;
   os << kStoreEngineSalt << '\x1e' << workload_key(job).str() << '\x1e'
      << job.key().str() << '\x1e' << ConfigOverrides::capture(c).serialize()
-     << '\x1e' << c.name << '\x1f' << c.l1_hit_cycles << '\x1f'
-     << c.l2_local_hit_cycles << '\x1f' << c.bank_hop_cycles << '\x1f'
-     << c.mem_service_cycles;
+     << '\x1e' << c.name << '\x1f' << c.l2_local_hit_cycles << '\x1f'
+     << c.bank_hop_cycles << '\x1f' << c.mem_service_cycles;
   StoreKey key;
   key.repr = os.str();
   key.hash = fnv1a64(key.repr);

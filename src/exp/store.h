@@ -63,7 +63,7 @@ namespace cachesched {
 /// Version salt baked into every store key and entry header. Bump when
 /// simulation results change (see file comment); stored records from
 /// other salts are treated as misses.
-inline constexpr const char* kStoreEngineSalt = "cachesched-engine-v6";
+inline constexpr const char* kStoreEngineSalt = "cachesched-engine-v7";
 
 /// Canonical full-job-identity key: `repr` is the stable serialization,
 /// `hash` its FNV-1a-64 content address (the on-disk name).

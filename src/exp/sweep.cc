@@ -13,7 +13,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "check/invariants.h"
 #include "exp/store.h"
 #include "harness/workload_registry.h"
 #include "robust/errors.h"
@@ -26,23 +25,10 @@ namespace {
 
 std::vector<CmpConfig> configs_for(const SweepSpec& spec, double scale) {
   std::vector<CmpConfig> bases;
-  if (spec.tech == "default") {
-    if (spec.core_counts.empty()) {
-      bases = default_configs();
-    } else {
-      for (int c : spec.core_counts) bases.push_back(default_config(c));
-    }
-  } else if (spec.tech == "45nm") {
-    if (spec.core_counts.empty()) {
-      bases = single_tech_45nm_configs();
-    } else {
-      for (int c : spec.core_counts) {
-        bases.push_back(single_tech_45nm_config(c));
-      }
-    }
+  if (spec.core_counts.empty()) {
+    bases = tech_configs(spec.tech);
   } else {
-    throw std::invalid_argument("unknown tech: " + spec.tech +
-                                " (known: default 45nm)");
+    for (int c : spec.core_counts) bases.push_back(tech_config(spec.tech, c));
   }
   for (CmpConfig& cfg : bases) {
     cfg = cfg.scaled(scale);
@@ -117,7 +103,6 @@ SweepRecord run_one(const SweepJob& job, const Workload& w,
     sched = "pdf";  // one core: PDF = sequential 1DF order
   }
   CmpSimulator sim(cfg);
-  if (options.check.any()) sim.set_check(options.check);
   // Watchdog / cancellation / stall-fault poll: only attached when one
   // of them can fire, so the common case keeps the engine poll disabled.
   robust::RunGuard guard(options.job_timeout_ms, options.cancel);
@@ -132,25 +117,7 @@ SweepRecord run_one(const SweepJob& job, const Workload& w,
   rec.params = w.params;
   rec.num_tasks = w.dag.num_tasks();
   rec.total_refs = w.dag.total_refs();
-  try {
-    rec.result = sim.run(w.dag, *s);
-  } catch (check::CheckViolation& e) {
-    // Attach the job's sweep coordinates so the CLI can write a crash
-    // reproducer for the exact failing point. Rethrown as-is: a check
-    // violation is a determinism bug, never retried or quarantined.
-    check::CheckViolation::Context ctx;
-    ctx.set = true;
-    ctx.app = job.app;
-    ctx.sched = job.sched;  // "seq" kept as-is; replay applies the same
-                            // cores=1/pdf rewrite this function did
-    ctx.cores = job.config.cores;
-    ctx.scale = job.opt.scale;
-    ctx.task_ws = job.opt.mergesort_task_ws;
-    ctx.fine_grained = job.opt.fine_grained;
-    ctx.seed = job.opt.seed;
-    e.set_context(std::move(ctx));
-    throw;
-  }
+  rec.result = sim.run(w.dag, *s);
   return rec;
 }
 
@@ -353,32 +320,6 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
     }
     return SweepResults(std::move(kept), std::move(quarantined), n_retries);
   };
-
-  // Sharing off: the pre-cache behavior, including its memory profile —
-  // each job builds its own workload inside the job, so at most `workers`
-  // workloads are ever alive at once. The whole unit (build + simulate +
-  // persist) retries together: a transient build failure re-builds, a
-  // torn store write re-simulates (deterministic, so byte-identical).
-  if (!options.share_workloads) {
-    parallel_for(num_pending, [&](size_t k) {
-      const size_t i = pending[k];
-      std::string err;
-      const bool ok = try_unit(
-          [&] {
-            const Workload w = build_one(jobs[i]);
-            if (options.on_workload_built) {
-              std::lock_guard<std::mutex> lock(mu);
-              options.on_workload_built(jobs[i].app);
-            }
-            records[i] = run_one(jobs[i], w, options);
-            finish(i);
-          },
-          &err);
-      if (!ok) add_quarantine(i, err);
-    });
-    check_phase();
-    return finalize();
-  }
 
   // Phase 1 — hash-cons workloads: one build slot per unique workload key
   // (jobs with a factory get private slots), built in parallel before any

@@ -21,18 +21,14 @@
 // any simulation starts — and shared read-only across its jobs. Builders
 // are deterministic (see WorkloadBuilder) and simulation never mutates the
 // DAG, so shared and per-job-built workloads give byte-identical results
-// (tests/sweep_test.cc proves it); SweepOptions::share_workloads turns the
-// cache off for such comparisons. Jobs with a custom `factory` are never
+// (tests/sweep_test.cc proves it). Jobs with a custom `factory` are never
 // shared (a std::function has no identity to key on).
 //
 // Two consequences of the build-ahead phase worth knowing: (1) every
 // unique workload of the sweep is resident at once at the end of the
-// build phase (slots free as their last job completes) — a sweep with
-// little sharing on a memory-constrained host can set share_workloads =
-// false to restore the O(workers) profile of per-job builds; (2) a
-// workload build error fails the sweep before any simulation starts
-// (fail-fast), so on_result does not fire for unaffected jobs the way it
-// did when builds happened inside each job.
+// build phase (slots free as their last job completes); (2) a workload
+// build error fails the sweep before any simulation starts (fail-fast),
+// so on_result does not fire for the jobs of other workloads.
 //
 // Typical use:
 //
@@ -180,11 +176,6 @@ struct SweepRecord {
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency, 1 = run inline.
   int workers = 0;
-  /// Build each unique workload once per sweep and share it read-only
-  /// across the jobs that simulate it (see file comment). false = every
-  /// job rebuilds its own workload (the pre-cache behavior; results are
-  /// byte-identical either way).
-  bool share_workloads = true;
   /// Content-addressed result store (exp/store.h); non-null makes the
   /// sweep incremental: jobs whose full identity has a stored record
   /// load it instead of simulating, and every simulated record is
@@ -200,13 +191,6 @@ struct SweepOptions {
   /// Test/diagnostics hook: called once per unique workload actually
   /// built (serialized), with the spec/label of the job that built it.
   std::function<void(const std::string& app)> on_workload_built;
-  /// Runtime invariant checkers (src/check/checkspec.h) armed on every
-  /// job's simulator. Default-constructed = disarmed (a $CACHESCHED_CHECK
-  /// env arming still applies — the simulator constructor reads it). A
-  /// CheckViolation is a determinism bug, not a flaky job: it is never
-  /// retried or quarantined, and aborts the sweep with the job's
-  /// coordinates appended so the CLI can write a crash reproducer.
-  check::CheckSpec check;
 
   // Fault tolerance (src/robust/). The defaults preserve the historical
   // fail-fast contract: no watchdog, no retries, the first error aborts

@@ -56,7 +56,6 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace cachesched {
@@ -213,53 +212,6 @@ class SetAssocCache {
     uint64_t n = 0;
     for (uint32_t c : valid_cnt_) n += c;
     return n;
-  }
-
-  // --- audit introspection (src/check/) -------------------------------
-  // Decode-only views of the packed state for the invariant checkers and
-  // tests. None are used on the simulation hot path.
-
-  /// Valid ways in `set`.
-  uint32_t valid_count(uint64_t set) const { return valid_cnt_[set]; }
-
-  /// The entry for way `w` of `set`.
-  const Line& line_at(uint64_t set, int w) const { return meta_[set * ways_ + w]; }
-
-  /// The fingerprint byte stored for way `w` of `set` (the packed row
-  /// value find_way matches against; must equal fingerprint_of(tag) for
-  /// every valid way).
-  uint8_t stored_fingerprint(uint64_t set, int w) const {
-    return static_cast<uint8_t>(rows_[set * 2 * sw_ + (w >> 3)] >>
-                                ((w & 7) * 8));
-  }
-
-  /// The fingerprint byte a line is filed under.
-  uint8_t fingerprint_of(uint64_t line) const { return fingerprint(line); }
-
-  /// The set's replacement order as way indices, MRU first, valid ways
-  /// only: the order-row valid prefix decoded byte-by-byte, or the stamps
-  /// sorted by recency in the wide (> 255 ways) fallback.
-  std::vector<int> lru_order(uint64_t set) const {
-    const uint32_t n = valid_cnt_[set];
-    std::vector<int> order;
-    order.reserve(n);
-    if (!wide_) {
-      const uint64_t* row = &rows_[set * 2 * sw_ + sw_];
-      for (uint32_t j = 0; j < n; ++j) {
-        order.push_back(ord_byte(row, static_cast<int>(j)));
-      }
-      return order;
-    }
-    std::vector<std::pair<uint64_t, int>> by_stamp;
-    for (int w = 0; w < ways_; ++w) {
-      if (meta_[set * ways_ + w].tag != kInvalidTag) {
-        by_stamp.emplace_back(stamps_[set * ways_ + w], w);
-      }
-    }
-    std::sort(by_stamp.begin(), by_stamp.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    for (const auto& [stamp, w] : by_stamp) order.push_back(w);
-    return order;
   }
 
   void clear() {

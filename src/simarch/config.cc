@@ -139,12 +139,19 @@ std::vector<CmpConfig> single_tech_45nm_configs() {
   return v;
 }
 
-CmpConfig single_tech_45nm_config(int cores) {
-  for (auto& c : single_tech_45nm_configs()) {
+std::vector<CmpConfig> tech_configs(const std::string& tech) {
+  if (tech == "default") return default_configs();
+  if (tech == "45nm") return single_tech_45nm_configs();
+  throw std::invalid_argument("unknown tech: " + tech +
+                              " (known: default 45nm)");
+}
+
+CmpConfig tech_config(const std::string& tech, int cores) {
+  for (CmpConfig& c : tech_configs(tech)) {
     if (c.cores == cores) return c;
   }
-  throw std::invalid_argument("no 45nm config for " + std::to_string(cores) +
-                              " cores");
+  throw std::invalid_argument("no " + tech + " config for " +
+                              std::to_string(cores) + " cores");
 }
 
 }  // namespace cachesched

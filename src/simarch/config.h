@@ -31,10 +31,10 @@ struct CmpConfig {
   std::string name;
   int cores = 1;
 
-  // L1 (private, per core).
+  // L1 (private, per core). A hit costs the reference's instr_per_ref
+  // cycles (simarch/engine.h).
   uint64_t l1_bytes = 64 * 1024;
   int l1_ways = 4;
-  int l1_hit_cycles = 1;
 
   // L2 (shared).
   uint64_t l2_bytes = 8 * 1024 * 1024;
@@ -117,7 +117,12 @@ std::vector<CmpConfig> default_configs();
 /// Table 3: all fourteen 45 nm design points (1–26 cores).
 std::vector<CmpConfig> single_tech_45nm_configs();
 
-/// Table 3 entry for a given core count; throws if not a listed point.
-CmpConfig single_tech_45nm_config(int cores);
+/// The table a `tech` name selects: "default" (Table 2) or "45nm"
+/// (Table 3). Throws std::invalid_argument for any other name.
+std::vector<CmpConfig> tech_configs(const std::string& tech);
+
+/// The `cores` entry of tech_configs(tech). Throws std::invalid_argument
+/// for an unknown tech or a core count the table does not list.
+CmpConfig tech_config(const std::string& tech, int cores);
 
 }  // namespace cachesched

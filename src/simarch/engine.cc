@@ -4,8 +4,8 @@
 #include <bit>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
-#include "check/invariants.h"
 #include "robust/guard.h"
 #include "sched/central_fifo_scheduler.h"
 #include "sched/pdf_scheduler.h"
@@ -25,8 +25,8 @@ double SimResult::core_utilization() const {
 namespace {
 
 // The run-buffer op format and the batched trace expansion live in
-// engine_detail.h, shared with the trace checker (check/invariants.cc),
-// which compares the expander against the reference TraceCursor.
+// engine_detail.h; tests/trace_test.cc compares the expander with the
+// reference TraceCursor.
 using engine_detail::BufOp;
 using engine_detail::evt_key;
 using engine_detail::kBufOps;
@@ -39,6 +39,27 @@ constexpr uint64_t kRunAheadCycles = 1000;
 
 // Thrown when a run-ahead pass broke causality; run() re-runs exactly.
 struct RunAheadBroken {};
+
+// indeg[] value of a dispatched task (a real in-degree never reaches it).
+constexpr uint32_t kDispatched = UINT32_MAX;
+
+// The scheduler contract start_task enforces: `t` is a task of the DAG,
+// not yet dispatched, and every parent has completed.
+[[noreturn]] void contract_violation(const char* sched, TaskId t, int core,
+                                     uint64_t num_tasks, uint32_t indeg) {
+  std::string why;
+  if (t >= num_tasks) {
+    why = "which is out of range (" + std::to_string(num_tasks) + " tasks)";
+  } else if (indeg == kDispatched) {
+    why = "which was already dispatched";
+  } else {
+    why = "which still has " + std::to_string(indeg) + " incomplete parent" +
+          (indeg == 1 ? "" : "s");
+  }
+  throw std::logic_error(std::string("scheduler ") + sched + " handed task " +
+                         std::to_string(t) + " to core " +
+                         std::to_string(core) + ", " + why);
+}
 
 struct CoreState {
   enum State : uint8_t { kIdle, kRunning, kPendingL2, kCompleting };
@@ -87,17 +108,12 @@ struct CoreState {
 // run (run_core) — the event the scan would pick next is this core's
 // anyway — so the per-reference path on the L2-dominated workloads never
 // leaves the run loop or spills its accumulator state.
-// The loop is additionally templated on the checker type (src/check/):
-// the default NoCheck instantiation compiles every hook away under
-// `if constexpr`, so the disarmed hot path — the one perfbench times —
-// is untouched; an armed run instantiates the generic-scheduler path
-// with check::Checker and `chk` non-null. `exact` selects the pass:
-// false runs ahead and throws RunAheadBroken on a detected violation;
-// true takes every op in exact order (engine.h).
-template <class S, class CK = check::NoCheck>
+// `exact` selects the pass: false runs ahead and throws RunAheadBroken on
+// a detected violation; true takes every op in exact order (engine.h).
+template <class S>
 SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
                    const TaskDag& dag, S& sched,
-                   const robust::RunGuard* guard, CK* chk = nullptr) {
+                   const robust::RunGuard* guard) {
   const int P = cfg.cores;
   const int line_shift =
       std::countr_zero(static_cast<unsigned>(cfg.line_bytes));
@@ -135,6 +151,7 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
   static thread_local std::vector<uint64_t> stamps;
   stamps.assign(P * l1_lines, 0);
   bool broke = false;  // an invalidation found a later stamp
+  // Incomplete parents per task; kDispatched once the task is dispatched.
   std::vector<uint32_t> indeg(dag.num_tasks());
   for (TaskId t = 0; t < dag.num_tasks(); ++t) {
     indeg[t] = dag.task(t).num_parents;
@@ -162,10 +179,15 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
   sched.reset(dag, sctx);
   sched.enqueue_ready(0, dag.roots());
 
-  if constexpr (CK::kArmed) chk->on_run_start(cfg, &dag, &l1, &l2);
-
   auto start_task = [&](int c, TaskId t, uint64_t now) {
-    if constexpr (CK::kArmed) chk->on_dispatch(c, t);
+    // The scheduler contract, always checked: a ready task is in range
+    // and has indeg 0 (a waiting task holds its parent count, a
+    // dispatched one kDispatched).
+    if (t >= indeg.size() || indeg[t] != 0) [[unlikely]] {
+      contract_violation(sched.name(), t, c, indeg.size(),
+                         t < indeg.size() ? indeg[t] : 0);
+    }
+    indeg[t] = kDispatched;
     CoreState& core = cores[c];
     core.task = t;
     const std::span<const PackedRef> blocks = dag.blocks(t);
@@ -258,10 +280,6 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
           lat = cfg.l2_hit_cycles;
         }
         ++acc_l2_hits;
-        // Checker protocol: on_l2_hit runs *before* the invalidation loop
-        // so the checker can compute the expected invalidation set from
-        // its shadow presence mask and tick entries off via on_inval.
-        if constexpr (CK::kArmed) chk->on_l2_hit(c, line, write);
         if (write) {
           // A copy hit later than this write breaks causality. Run-ahead
           // compares (time, core) keys; that also flags a same-cycle hit
@@ -279,7 +297,6 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
               broke |= stamps[i * l1_lines + l1[i].slot_of(v)] > key;
               l1[i].invalidate(v);
             }
-            if constexpr (CK::kArmed) chk->on_inval(i, line);
             ++acc_invalidations;
           }
           e->presence &= mybit;
@@ -293,7 +310,6 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
         lat = ready - t;
         acc_stall += lat;
         e->presence = mybit;
-        if constexpr (CK::kArmed) chk->on_l2_miss(c, line, write, evd);
         // Non-inclusive L2: an eviction does not back-invalidate L1
         // copies (see header comment); a dirty victim is written
         // off-chip.
@@ -320,9 +336,6 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
           // still reach memory.
           mem.post_writeback(t);
         }
-      }
-      if constexpr (CK::kArmed) {
-        chk->on_l1_fill(c, line, write, ev.valid, ev.line, ev.dirty);
       }
       return (ipr - 1) + lat;
     };
@@ -374,7 +387,6 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
       if (SetAssocCache::Line* e = cache.access(op.v)) {
         e->dirty |= wr;
         stamp[cache.slot_of(e)] = evt_key(time, c);
-        if constexpr (CK::kArmed) chk->on_l1_hit(c, op.v, wr);
         ++acc_l1_hits;
         time += ipr;
         busy += ipr;
@@ -414,7 +426,6 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
 
   auto do_complete = [&](int c, uint64_t t) {
     CoreState& core = cores[c];
-    if constexpr (CK::kArmed) chk->on_complete(c, core.task);
     sched.on_complete(c, core.task);
     ++res.tasks_executed;
     ++completed;
@@ -486,8 +497,6 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
     }
   }
 
-  if constexpr (CK::kArmed) chk->on_run_end();
-
   res.cycles = end_time;
   res.instructions = acc_instr;
   res.l1_hits = acc_l1_hits;
@@ -505,8 +514,7 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
 
 }  // namespace
 
-CmpSimulator::CmpSimulator(const CmpConfig& config)
-    : cfg_(config), check_(check::default_check_spec()) {
+CmpSimulator::CmpSimulator(const CmpConfig& config) : cfg_(config) {
   if (cfg_.cores < 1 || cfg_.cores > 32) {
     throw std::invalid_argument("1..32 cores supported");
   }
@@ -517,18 +525,6 @@ CmpSimulator::CmpSimulator(const CmpConfig& config)
 
 SimResult CmpSimulator::run(const TaskDag& dag, Scheduler& sched) {
   auto pass = [&](bool exact) {
-    check_stats_ = check::CheckStats{};
-    if (check_.any()) {
-      // Armed runs take the generic-scheduler instantiation: checking is
-      // a verification mode, so devirtualized dispatch buys nothing, and
-      // one extra instantiation of the templated loop keeps the four
-      // disarmed fast paths untouched. Each pass gets a fresh checker.
-      check::Checker chk(check_);
-      const SimResult r = simulate<Scheduler, check::Checker>(
-          cfg_, exact, collect_task_stats_, dag, sched, guard_, &chk);
-      check_stats_ = chk.stats();
-      return r;
-    }
     if (auto* s = dynamic_cast<PdfScheduler*>(&sched)) {
       return simulate(cfg_, exact, collect_task_stats_, dag, *s, guard_);
     }

@@ -6,10 +6,16 @@
 // only writes dirty data off-chip. (Strict inclusion is not viable across
 // the paper's design space — its own 26-core/1 MB-L2 point has 1.6 MB of
 // aggregate L1.) Write coherence is tracked with per-line L1-presence
-// masks while the line is L2-resident: a write that misses the L1
-// invalidates the other L1 copies, and an L1 write hit only sets the
-// dirty bit. For the studied workloads, whose concurrent writes target
-// disjoint regions, this model is exact up to line-boundary sharing.
+// masks, under two stated policies:
+//  (a) only a write that misses the L1 invalidates: it invalidates the
+//      other tracked L1 copies; an L1 write hit only sets the dirty bit;
+//  (b) holders are tracked only while the line is L2-resident: a line
+//      re-installed in the L2 names its installer alone, and older L1
+//      copies drop out of tracking.
+// For the studied workloads, whose concurrent writes target disjoint
+// regions, this model is exact up to line-boundary sharing. The naive
+// oracle in tests/oracle.h declares the same policies and
+// tests/oracle_test.cc holds every SimResult field to it.
 //
 // Timing model (per Table 1):
 //  * compute: 1 instruction / cycle;
@@ -34,6 +40,11 @@
 // these). A same-cycle stamp can also come from a hit that exact order
 // takes first (a zero-cost dispatch as above); that costs a spare re-run,
 // never a wrong result. Results equal exact interleaving by construction.
+//
+// Scheduler contract: a scheduler may hand out only a ready task, once.
+// run() throws std::logic_error naming the scheduler, the task and the
+// core if acquire() returns a task that is out of range, already
+// dispatched or still waiting for a parent.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +52,6 @@
 #include <string>
 #include <vector>
 
-#include "check/checkspec.h"
-#include "check/invariants.h"
 #include "core/dag.h"
 #include "core/scheduler.h"
 #include "simarch/cache.h"
@@ -122,18 +131,6 @@ class CmpSimulator {
   /// Record per-task miss/reference counts in the result.
   void set_collect_task_stats(bool v) { collect_task_stats_ = v; }
 
-  /// Arms the runtime invariant checkers (src/check/) for subsequent
-  /// run() calls. Defaults to $CACHESCHED_CHECK (parsed once; unset =
-  /// disarmed). Disarmed, the checked code compiles away entirely (the
-  /// run loop is templated on a no-op checker).
-  void set_check(const check::CheckSpec& spec) { check_ = spec; }
-  const check::CheckSpec& check() const { return check_; }
-
-  /// Checker statistics of the most recent armed run() (zeroed at the
-  /// start of every run) — tests assert the checkers actually ran, not
-  /// just that nothing threw.
-  const check::CheckStats& check_stats() const { return check_stats_; }
-
   /// Cooperative watchdog/cancellation: the engine polls `guard` every
   /// few outer event-loop iterations (robust/guard.h), so a run can be
   /// bounded by a wall-clock budget or aborted on SIGINT/SIGTERM. The
@@ -152,8 +149,6 @@ class CmpSimulator {
   uint64_t exact_reruns_ = 0;
   bool collect_task_stats_ = false;
   const robust::RunGuard* guard_ = nullptr;
-  check::CheckSpec check_;  // constructor applies $CACHESCHED_CHECK
-  check::CheckStats check_stats_;
 };
 
 }  // namespace cachesched

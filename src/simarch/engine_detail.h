@@ -1,12 +1,15 @@
-// Internals shared by the engine (engine.cc) and the trace checker
-// (check/invariants.cc): the run-buffer op format and the batched trace
-// expansion that turns a task's PackedRef blocks into a flat op stream.
+// Engine internals with two users: the engine (engine.cc) and
+// tests/trace_test.cc, which compares the batched expander with the
+// reference TraceCursor. They are the run-buffer op format and the
+// batched trace expansion that turns a task's PackedRef blocks into a
+// flat op stream.
 //
 // Expansion is a pure function of the blocks and the cursor — it never
 // looks at the caches or the clock — so the engine runs it ahead of the
 // simulation, per core between events. The emission order mirrors
-// TraceCursor::next() exactly; tests/golden_sim_test.cc and
-// tests/trace_test.cc pin it, and the trace checker spot-checks it.
+// TraceCursor::next() exactly; tests/trace_test.cc pins it directly, and
+// tests/golden_sim_test.cc and tests/oracle_test.cc (whose oracle expands
+// through TraceCursor) pin it through whole simulations.
 #pragma once
 
 #include <algorithm>

@@ -27,9 +27,6 @@ enum ExitCode : int {
   /// The sweep finished but some jobs were quarantined, or a merge was
   /// assembled with holes — output exists but is incomplete.
   kExitQuarantinedHoles = 3,
-  /// A runtime invariant checker (--check) caught a violation. A crash
-  /// reproducer file was written (--repro-out, default crash.repro).
-  kExitVerifyFailed = 4,
   /// SIGINT/SIGTERM: the sweep shut down gracefully (completed results
   /// durable; a --resume command line was printed). 128 + SIGINT's 2,
   /// the shell convention.

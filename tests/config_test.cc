@@ -38,7 +38,7 @@ TEST(Config, Table3Has14PointsWithPaperValues) {
   EXPECT_EQ(configs.back().l2_bytes, 1u * 1024 * 1024);
   EXPECT_EQ(configs.back().l2_ways, 16);
   EXPECT_EQ(configs.back().l2_hit_cycles, 7);
-  const CmpConfig c18 = single_tech_45nm_config(18);
+  const CmpConfig c18 = tech_config("45nm", 18);
   EXPECT_EQ(c18.l2_bytes, 16u * 1024 * 1024);
   EXPECT_EQ(c18.l2_ways, 16);
   EXPECT_EQ(c18.l2_hit_cycles, 17);
@@ -58,7 +58,15 @@ TEST(Config, AllPaperConfigsHavePowerOfTwoSets) {
 
 TEST(Config, UnknownCoreCountThrows) {
   EXPECT_THROW(default_config(3), std::invalid_argument);
-  EXPECT_THROW(single_tech_45nm_config(5), std::invalid_argument);
+  EXPECT_THROW(tech_config("45nm", 5), std::invalid_argument);
+  EXPECT_THROW(tech_config("default", 3), std::invalid_argument);
+}
+
+TEST(Config, TechNamesOneOfTheTables) {
+  EXPECT_EQ(tech_config("default", 8).name, default_config(8).name);
+  EXPECT_EQ(tech_configs("45nm").size(), 14u);
+  EXPECT_THROW(tech_config("45mn", 8), std::invalid_argument);
+  EXPECT_THROW(tech_configs("46nm"), std::invalid_argument);
 }
 
 TEST(Config, ScalingPreservesGeometryInvariants) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dag.h"
+#include "runahead_dags.h"
 #include "sched/central_fifo_scheduler.h"
 #include "sched/pdf_scheduler.h"
 #include "sched/ws_scheduler.h"
@@ -13,21 +15,7 @@
 namespace cachesched {
 namespace {
 
-CmpConfig tiny_config(int cores) {
-  CmpConfig c;
-  c.name = "tiny";
-  c.cores = cores;
-  c.l1_bytes = 1024;  // 8 lines
-  c.l1_ways = 2;
-  c.l2_bytes = 8192;  // 64 lines
-  c.l2_ways = 4;
-  c.l2_hit_cycles = 10;
-  c.line_bytes = 128;
-  c.mem_latency_cycles = 300;
-  c.mem_service_cycles = 30;
-  c.task_dispatch_cycles = 0;
-  return c;
-}
+using namespace runahead_dags;
 
 // `reruns`, if given, receives the fresh simulator's exact_reruns().
 SimResult run(const TaskDag& dag, const CmpConfig& cfg, Scheduler& s,
@@ -191,12 +179,7 @@ TEST(Engine, WriteInvalidatesOtherL1Copies) {
 // run-ahead; the re-run gives exact interleaving's result (run-ahead
 // alone: 23 L1 hits, 824 L2 hits).
 TEST(Engine, DeterministicAcrossRuns) {
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(10)});
-  for (int i = 0; i < 20; ++i) {
-    b.add_task({root}, {RefBlock::random_ref(0, 1 << 16, 50, i, i % 2, 3)});
-  }
-  auto dag = b.finish();
+  const TaskDag dag = random_sharing();
   WsScheduler s1, s2;
   uint64_t reruns = 0;
   const SimResult r = run(dag, tiny_config(4), s1, &reruns);
@@ -217,11 +200,7 @@ TEST(Engine, DeterministicAcrossRuns) {
 // hits after (run-ahead alone would report 699 cycles, 49 L1 hits and 1
 // L2 hit).
 TEST(Engine, HitPastAnInvalidatingWriteRerunsExactly) {
-  DagBuilder b;
-  b.add_task({}, {RefBlock::compute(500),
-                  RefBlock::stride_ref(0, 1, 128, true, 1)});
-  b.add_task({}, {RefBlock::stride_ref(0, 50, 0, false, 8)});
-  const TaskDag dag = b.finish();
+  const TaskDag dag = hit_past_a_write();
   PdfScheduler s;
   uint64_t reruns = 0;
   const SimResult r = run(dag, tiny_config(2), s, &reruns);
@@ -239,12 +218,7 @@ TEST(Engine, HitPastAnInvalidatingWriteRerunsExactly) {
 // and its same-cycle stamp must be flagged (run-ahead alone reports 1,501
 // cycles, 201 L1 hits and 1 L2 hit).
 TEST(Engine, SameCycleHitAfterAWriteRerunsExactly) {
-  DagBuilder b;
-  b.add_task({}, {RefBlock::compute(500),
-                  RefBlock::stride_ref(0, 1, 128, true, 1)});
-  b.add_task({}, {RefBlock::stride_ref(0, 202, 0, false, 1),
-                  RefBlock::compute(1000)});
-  const TaskDag dag = b.finish();
+  const TaskDag dag = same_cycle_hit();
   PdfScheduler s;
   uint64_t reruns = 0;
   const SimResult r = run(dag, tiny_config(2), s, &reruns);
@@ -263,14 +237,7 @@ TEST(Engine, SameCycleHitAfterAWriteRerunsExactly) {
 // follows the hit, so the exact pass must not flag it. Run-ahead's result
 // was already exact here; its same-cycle stamp costs a spare re-run.
 TEST(Engine, ZeroDispatchForkAfterSameCycleHitIsExact) {
-  DagBuilder b;
-  b.add_task({}, {RefBlock::compute(1)});
-  b.add_task({}, {RefBlock::stride_ref(0, 2000, 0, false, 1)});
-  const TaskId a = b.add_task({}, {RefBlock::compute(1000)});
-  for (int i = 0; i < 2; ++i) {
-    b.add_task({a}, {RefBlock::stride_ref(0, 1, 128, true, 1)});
-  }
-  const TaskDag dag = b.finish();
+  const TaskDag dag = zero_dispatch_fork();
   PdfScheduler s;
   uint64_t reruns = 0;
   SimResult r;
@@ -283,29 +250,14 @@ TEST(Engine, ZeroDispatchForkAfterSameCycleHitIsExact) {
   EXPECT_EQ(r.invalidations, 2u);
 }
 
-// Seeded variants of the DAG above on 3 to 8 cores: core 0 idles early,
-// the middle cores read one of two lines every cycle, and the last core
-// forks one child per core, each first writing one of the lines. Every
-// run finishes and repeats identically, and some take the exact pass.
+// Seeded variants of the DAG above on 3 to 8 cores (same_cycle_forks).
+// Every run finishes and repeats identically, and some take the exact
+// pass.
 TEST(Engine, ExactPassFinishesOnSameCycleForks) {
   uint64_t reruns = 0;
   for (int cores : {3, 5, 8}) {
     for (uint64_t seed = 0; seed < 8; ++seed) {
-      std::mt19937_64 rng(seed);
-      auto line = [&rng] { return (rng() % 2) * 128; };
-      DagBuilder b;
-      b.add_task({}, {RefBlock::compute(1 + rng() % 50)});
-      for (int i = 1; i < cores - 1; ++i) {
-        const auto refs = static_cast<uint32_t>(300 + rng() % 2000);
-        b.add_task({}, {RefBlock::stride_ref(line(), refs, 0, false, 1)});
-      }
-      const TaskId f = b.add_task({}, {RefBlock::compute(300 + rng() % 1500)});
-      for (int i = 0; i < cores; ++i) {
-        const auto refs = static_cast<uint32_t>(1 + rng() % 8);
-        b.add_task({f}, {RefBlock::stride_ref(line(), refs, 0, true, 1),
-                         RefBlock::compute(1 + rng() % 50)});
-      }
-      const TaskDag dag = b.finish();
+      const TaskDag dag = same_cycle_forks(cores, seed);
       for (auto make :
            {+[]() -> Scheduler* { return new PdfScheduler; },
             +[]() -> Scheduler* { return new WsScheduler; },
@@ -387,6 +339,52 @@ TEST(Engine, StatsDerivedMetrics) {
   EXPECT_NEAR(r.l2_misses_per_kilo_instr(), 10.0, 1e-9);
   EXPECT_GT(r.mem_bandwidth_utilization(), 0.0);
   EXPECT_LT(r.mem_bandwidth_utilization(), 1.0);
+}
+
+// Hands out a fixed list of tasks in order, ready or not.
+class ScriptedScheduler : public Scheduler {
+ public:
+  explicit ScriptedScheduler(std::vector<TaskId> script)
+      : script_(std::move(script)) {}
+  void reset(const TaskDag&, const SchedContext&) override { next_ = 0; }
+  void enqueue_ready(int, std::span<const TaskId>) override {}
+  TaskId acquire(int) override {
+    return next_ < script_.size() ? script_[next_++] : kNoTask;
+  }
+  bool empty() const override { return next_ >= script_.size(); }
+  const char* name() const override { return "scripted"; }
+
+ private:
+  std::vector<TaskId> script_;
+  size_t next_ = 0;
+};
+
+// The logic_error message of running `dag` on 2 cores under `script`.
+std::string contract_error(const TaskDag& dag, std::vector<TaskId> script) {
+  ScriptedScheduler s(std::move(script));
+  try {
+    run(dag, tiny_config(2), s);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Engine, SchedulerContractIsAlwaysChecked) {
+  DagBuilder b;
+  const TaskId a = b.add_task({}, {RefBlock::compute(10)});
+  b.add_task({a}, {RefBlock::compute(10)});
+  const TaskDag dag = b.finish();
+  EXPECT_EQ(contract_error(dag, {0, 0}),
+            "scheduler scripted handed task 0 to core 1, which was already "
+            "dispatched");
+  EXPECT_EQ(contract_error(dag, {0, 1}),
+            "scheduler scripted handed task 1 to core 1, which still has 1 "
+            "incomplete parent");
+  EXPECT_EQ(contract_error(dag, {7}),
+            "scheduler scripted handed task 7 to core 0, which is out of "
+            "range (2 tasks)");
+  EXPECT_EQ(contract_error(dag, {0, kNoTask, 1}), "no error");
 }
 
 TEST(Engine, RejectsTooManyCores) {

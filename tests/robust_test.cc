@@ -235,7 +235,6 @@ TEST(SweepFaults, RetriesMaskTransientFaultsByteIdentically) {
   FaultGuard faults("alloc.workload_build:every=2");
   SweepOptions opt;
   opt.workers = 1;
-  opt.share_workloads = false;  // one build per job: the site hits 4+ times
   opt.job_retries = 3;
   opt.retry_backoff_ms = 1;
   opt.quarantine = true;
@@ -250,7 +249,6 @@ TEST(SweepFaults, SameSeedQuarantinesTheSameJobSetTwice) {
   const auto jobs = expand(small_spec());
   SweepOptions opt;
   opt.workers = 1;  // fixed hit order -> the schedule maps to fixed jobs
-  opt.share_workloads = false;
   opt.quarantine = true;  // no retries: every fire quarantines its job
   std::vector<size_t> first;
   {
@@ -344,8 +342,7 @@ TEST(SweepFaults, QuarantineWithStoreMergesWithHolesThenResumesClean) {
     ResultStore store(dir.string());
     SweepOptions opt;
     opt.workers = 1;
-    opt.share_workloads = false;
-    opt.quarantine = true;
+      opt.quarantine = true;
     opt.store = &store;
     const SweepResults res = run_sweep(jobs, opt);
     holes_expected = quarantined_indices(res);
@@ -388,14 +385,13 @@ TEST(SweepFaults, StoreFaultsUnderRetryYieldByteIdenticalResults) {
   const SweepResults plain = run_sweep(jobs, {.workers = 1});
   {
     // Both store-write sites armed: puts tear and renames fail, and the
-    // whole build+simulate+persist unit retries until the put lands.
+    // simulate+persist unit retries until the put lands.
     FaultGuard faults(
         "store.write.short:every=3;store.rename.fail:every=4,seed=9");
     ResultStore store(dir.string());
     SweepOptions opt;
     opt.workers = 1;
-    opt.share_workloads = false;
-    opt.job_retries = 6;
+      opt.job_retries = 6;
     opt.retry_backoff_ms = 1;
     opt.quarantine = true;
     opt.store = &store;
@@ -443,7 +439,6 @@ TEST_P(EverySite, FaultedStoreResumesByteIdentically) {
     ResultStore store(dir.string());
     SweepOptions opt;
     opt.workers = 1;
-    opt.share_workloads = false;  // one build per job: alloc site hits
     opt.job_retries = 4;
     opt.retry_backoff_ms = 1;
     opt.store = &store;

@@ -3,6 +3,7 @@
 // benchmark — the safety net under all the figure-level results.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -30,48 +31,69 @@ std::vector<std::string> all_sched_specs() {
 
 using Param = std::tuple<std::string /*app*/, int /*cores*/>;
 
+/// One (app, cores) point: its workload, built once, and one simulation
+/// per scheduler spec plus the sequential baseline, shared by every
+/// property below.
+struct Point {
+  Workload w;
+  CmpConfig cfg;
+  std::map<std::string, SimResult> runs;  // by scheduler spec
+  SimResult seq;
+};
+
 class SchedulerProperties : public ::testing::TestWithParam<Param> {
  protected:
   static constexpr double kScale = 0.015625;  // 1/64: fast sweep
 
-  Workload workload() const {
-    const auto& [app, cores] = GetParam();
-    AppOptions opt;
-    opt.scale = kScale;
-    return make_app(app, config(), opt);
+  const Point& point() const {
+    static std::map<Param, Point> memo;
+    const auto [it, fresh] = memo.try_emplace(GetParam());
+    Point& p = it->second;
+    if (fresh) {
+      const auto& [app, cores] = GetParam();
+      p.cfg = default_config(cores).scaled(kScale);
+      AppOptions opt;
+      opt.scale = kScale;
+      p.w = make_app(app, p.cfg, opt);
+      for (const std::string& sched : all_sched_specs()) {
+        p.runs.emplace(sched, simulate_app(p.w, p.cfg, sched));
+      }
+      p.seq = simulate_sequential(p.w, p.cfg);
+    }
+    return p;
   }
-  CmpConfig config() const {
-    const auto& [app, cores] = GetParam();
-    (void)app;
-    return default_config(cores).scaled(kScale);
+  const Workload& workload() const { return point().w; }
+  const CmpConfig& config() const { return point().cfg; }
+  const SimResult& result(const std::string& sched) const {
+    return point().runs.at(sched);
   }
 };
 
 TEST_P(SchedulerProperties, AllSchedulersExecuteEveryTaskOnce) {
-  const Workload w = workload();
+  const Workload& w = workload();
   for (const std::string& sched : all_sched_specs()) {
-    const SimResult r = simulate_app(w, config(), sched);
+    const SimResult& r = result(sched);
     EXPECT_EQ(r.tasks_executed, w.dag.num_tasks()) << sched;
   }
 }
 
 TEST_P(SchedulerProperties, InstructionAndRefCountsSchedulerInvariant) {
   // Scheduling changes *timing* and *hit rates*, never the work done.
-  const Workload w = workload();
-  const SimResult pdf = simulate_app(w, config(), "pdf");
+  const Workload& w = workload();
+  const SimResult& pdf = result("pdf");
   EXPECT_EQ(pdf.instructions, w.dag.total_work());
   EXPECT_EQ(pdf.total_refs(), w.dag.total_refs());
   for (const std::string& sched : all_sched_specs()) {
-    const SimResult r = simulate_app(w, config(), sched);
+    const SimResult& r = result(sched);
     EXPECT_EQ(pdf.instructions, r.instructions) << sched;
     EXPECT_EQ(pdf.total_refs(), r.total_refs()) << sched;
   }
 }
 
 TEST_P(SchedulerProperties, RunsAreDeterministic) {
-  const Workload w = workload();
+  const Workload& w = workload();
   for (const std::string& sched : all_sched_specs()) {
-    const SimResult a = simulate_app(w, config(), sched);
+    const SimResult& a = result(sched);
     const SimResult b = simulate_app(w, config(), sched);
     EXPECT_EQ(a.cycles, b.cycles) << sched;
     EXPECT_EQ(a.l2_misses, b.l2_misses) << sched;
@@ -82,18 +104,18 @@ TEST_P(SchedulerProperties, RunsAreDeterministic) {
 TEST_P(SchedulerProperties, ParallelTimeBoundedByWorkAndSpan) {
   // Greedy bound sanity: span <= T_P and T_P <= T_1 (with dispatch and
   // memory contention slack on both sides).
-  const Workload w = workload();
-  const SimResult seq = simulate_sequential(w, config());
-  const SimResult par = simulate_app(w, config(), "pdf");
+  const Workload& w = workload();
+  const SimResult& seq = point().seq;
+  const SimResult& par = result("pdf");
   EXPECT_LE(par.cycles, seq.cycles + seq.cycles / 20);
   EXPECT_GE(static_cast<double>(par.cycles),
             0.9 * static_cast<double>(w.dag.weighted_depth()));
 }
 
 TEST_P(SchedulerProperties, MissesBoundedByRefsAndColdFloor) {
-  const Workload w = workload();
+  const Workload& w = workload();
   for (const std::string& sched : all_sched_specs()) {
-    const SimResult r = simulate_app(w, config(), sched);
+    const SimResult& r = result(sched);
     EXPECT_LE(r.l2_misses, r.total_refs()) << sched;
     // At least the distinct footprint must miss once.
     EXPECT_GE(r.l2_misses, w.footprint_bytes / config().line_bytes / 2)
@@ -102,8 +124,7 @@ TEST_P(SchedulerProperties, MissesBoundedByRefsAndColdFloor) {
 }
 
 TEST_P(SchedulerProperties, CoreUtilizationSane) {
-  const Workload w = workload();
-  const SimResult r = simulate_app(w, config(), "pdf");
+  const SimResult& r = result("pdf");
   EXPECT_GT(r.core_utilization(), 0.0);
   EXPECT_LE(r.core_utilization(), 1.0 + 1e-9);
 }

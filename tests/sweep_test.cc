@@ -191,46 +191,39 @@ TEST(SweepRun, GeneratedSpecsMixWithSeedApps) {
 
 // The workload cache must be invisible in the results: a sweep that
 // builds each unique workload once and shares it across jobs emits
-// byte-identical CSV/JSON to one that rebuilds per job, at any worker
-// count.
+// byte-identical CSV/JSON to running each job in its own sweep (its own
+// build), at any worker count.
 TEST(SweepCache, SharedMatchesFreshBuildByteForByte) {
   SweepSpec spec = small_spec();
   spec.sequential_baseline = true;
-  SweepOptions fresh;
-  fresh.share_workloads = false;
-  fresh.workers = 1;
-  const SweepResults baseline = run_sweep(spec, fresh);
+  std::vector<SweepRecord> fresh;
+  for (const SweepJob& job : expand(spec)) {
+    fresh.push_back(run_sweep({job}, {.workers = 1})[0]);
+  }
+  const SweepResults baseline(std::move(fresh));
   for (int workers : {1, 4}) {
-    for (bool share : {false, true}) {
-      SweepOptions opt;
-      opt.share_workloads = share;
-      opt.workers = workers;
-      const SweepResults res = run_sweep(spec, opt);
-      ASSERT_EQ(res.size(), baseline.size());
-      EXPECT_EQ(res.to_table().to_csv(), baseline.to_table().to_csv())
-          << "workers=" << workers << " share=" << share;
-      EXPECT_EQ(res.to_json(), baseline.to_json())
-          << "workers=" << workers << " share=" << share;
-    }
+    SweepOptions opt;
+    opt.workers = workers;
+    const SweepResults res = run_sweep(spec, opt);
+    ASSERT_EQ(res.size(), baseline.size());
+    EXPECT_EQ(res.to_table().to_csv(), baseline.to_table().to_csv())
+        << "workers=" << workers;
+    EXPECT_EQ(res.to_json(), baseline.to_json()) << "workers=" << workers;
   }
 }
 
 TEST(SweepCache, BuildsEachUniqueWorkloadOnce) {
   // 2 apps x 2 configs with (seq + 3 scheds) jobs each: 16 jobs but only
-  // 4 distinct workloads; the cache must build exactly those 4, and with
-  // sharing off, one per job.
+  // 4 distinct workloads; the cache must build exactly those 4.
   SweepSpec spec = small_spec();
   spec.sequential_baseline = true;
-  for (bool share : {true, false}) {
-    std::atomic<int> builds{0};
-    SweepOptions opt;
-    opt.share_workloads = share;
-    opt.workers = 4;
-    opt.on_workload_built = [&](const std::string&) { ++builds; };
-    const SweepResults res = run_sweep(spec, opt);
-    ASSERT_EQ(res.size(), 16u);
-    EXPECT_EQ(builds.load(), share ? 4 : 16);
-  }
+  std::atomic<int> builds{0};
+  SweepOptions opt;
+  opt.workers = 4;
+  opt.on_workload_built = [&](const std::string&) { ++builds; };
+  const SweepResults res = run_sweep(spec, opt);
+  ASSERT_EQ(res.size(), 16u);
+  EXPECT_EQ(builds.load(), 4);
 }
 
 TEST(SweepCache, FactoryJobsAreNeverShared) {

@@ -28,7 +28,6 @@ CmpConfig ideal_cache_config(int cores, uint64_t lines) {
   c.cores = cores;
   c.l1_bytes = 128;  // one line per core
   c.l1_ways = 1;
-  c.l1_hit_cycles = 1;
   c.l2_bytes = lines * 128;
   c.l2_ways = static_cast<int>(lines);  // one set
   c.l2_hit_cycles = 2;

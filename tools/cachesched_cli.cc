@@ -3,21 +3,10 @@
 //   cachesched_cli run   --app=mergesort --cores=16 [--sched=pdf,ws]
 //                        [--scale=0.125] [--tech=default|45nm]
 //                        [--l2-hit=N] [--mem-latency=N] [--task-ws=BYTES]
-//                        [--check=SPEC] [--repro-out=FILE]  # runtime
-//                        invariant checking (grammar: src/check/checkspec.h;
-//                        also armed by $CACHESCHED_CHECK);
-//                        --check=coherence,lru,period=1 runs the reference
-//                        cache model in lockstep. A violation writes a
-//                        crash reproducer (default crash.repro) and exits 4.
 //   cachesched_cli trace --app=hashjoin --cores=8 --out=join.dag
 //                        [--scale=0.125]            # collect once...
 //   cachesched_cli replay --dag=join.dag --cores=8 [--sched=pdf]
 //                        [--scale=0.125]            # ...simulate many
-//                        (accepts --check/--repro-out like run)
-//   cachesched_cli replay-crash --repro=crash.repro  # re-create the run a
-//                        crash reproducer captured, with the same checkers
-//                        armed: exits 4 if the violation reproduces, 0 if
-//                        the run is clean (format: src/check/reproducer.h)
 //   cachesched_cli configs                          # print Tables 2 and 3
 //   cachesched_cli list                             # registered schedulers
 //                                                   # and workloads
@@ -32,10 +21,6 @@
 //                        store, simulate + persist only the rest
 //   cachesched_cli sweep ... --store=DIR --shard=i/N  # simulate only
 //                        shard i of the matrix into the shared store
-//   cachesched_cli sweep ... [--check=SPEC] [--repro-out=FILE]  # arm the
-//                        invariant checkers on every job; a violation
-//                        aborts the sweep (never quarantined), writes a
-//                        reproducer for the failing job and exits 4
 //   cachesched_cli sweep ... [--job-timeout=MS] [--retries=N]
 //                        [--retry-backoff=MS] [--quarantine=BOOL]
 //                        [--faults=SPEC]   # fault tolerance: per-job
@@ -73,10 +58,10 @@
 //
 // Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage
 // error (unknown flags/subcommands, malformed flag values including an
-// output file whose directory does not exist, bad spec strings), 3 sweep
-// completed with quarantined jobs / merge assembled with holes, 4 an
-// armed checker caught an invariant violation (a crash reproducer was
-// written), 130 interrupted by SIGINT/SIGTERM after a graceful drain.
+// output file whose directory does not exist, bad spec strings, a --tech
+// or --cores the configuration tables do not list), 3 sweep completed
+// with quarantined jobs / merge assembled with holes, 130 interrupted by
+// SIGINT/SIGTERM after a graceful drain.
 // Errors go to stderr. Every subcommand rejects these usage errors (exit
 // 2) before it builds a workload or writes a file.
 #include <csignal>
@@ -88,9 +73,6 @@
 #include <string>
 #include <vector>
 
-#include "check/checkspec.h"
-#include "check/invariants.h"
-#include "check/reproducer.h"
 #include "core/dag_io.h"
 #include "exp/store.h"
 #include "exp/sweep.h"
@@ -152,15 +134,20 @@ ConfigOverrides overrides_from_args(const CliArgs& args) {
   return o;
 }
 
-CmpConfig config_from_args(const CliArgs& args) {
-  const int cores = args.get_int("cores", 8);
-  const std::string tech = args.get("tech", "default");
-  CmpConfig cfg = tech == "45nm" ? single_tech_45nm_config(cores)
-                                 : default_config(cores);
-  const double scale = args.get_double("scale", 0.125);
-  cfg = cfg.scaled(scale);
-  overrides_from_args(args).apply(cfg);
-  return cfg;
+/// Resolves --tech/--cores/--scale and the timing overrides into `*out`.
+/// A tech or core count the tables do not list, or a bad scale, is a
+/// usage error: reported, exit 2.
+int config_from_args(const CliArgs& args, CmpConfig* out) {
+  try {
+    const CmpConfig base =
+        tech_config(args.get("tech", "default"), args.get_int("cores", 8));
+    *out = base.scaled(args.get_double("scale", 0.125));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "cachesched_cli: " << e.what() << "\n";
+    return kExitUsage;
+  }
+  overrides_from_args(args).apply(*out);
+  return kExitOk;
 }
 
 std::vector<std::string> sched_list(const CliArgs& args) {
@@ -200,61 +187,15 @@ int check_apps(const std::vector<std::string>& apps) {
   return kExitOk;
 }
 
-/// The --check/--repro-out vocabulary of run and replay.
-struct CheckFlags {
-  check::CheckSpec check;
-  std::string repro_out = "crash.repro";
-};
-
-int check_flags_from_args(const CliArgs& args, CheckFlags* out) {
-  const std::string cs = args.get("check", "");
-  out->repro_out = args.get_output("repro-out", "crash.repro");
-  try {
-    if (!cs.empty()) out->check = check::CheckSpec::parse(cs);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "cachesched_cli: " << e.what() << "\n";
-    return kExitUsage;
-  }
-  return kExitOk;
-}
-
-/// Reports a violation, writes the crash reproducer, and returns
-/// kExitVerifyFailed for the caller to return.
-int fail_verify(const CheckFlags& cf, const check::CrashRepro& repro) {
-  try {
-    repro.save(cf.repro_out);
-    std::cerr << "cachesched_cli: crash reproducer written to "
-              << cf.repro_out << "; replay with:\n  cachesched_cli "
-              << "replay-crash --repro=" << cf.repro_out << "\n";
-  } catch (const std::exception& e) {
-    std::cerr << "cachesched_cli: " << e.what() << "\n";
-  }
-  return kExitVerifyFailed;
-}
-
-/// Runs every scheduler and prints the result table. `cf`/`base` carry
-/// the check configuration and the reproducer identity of the run (base's
-/// sched/op_index/violation fields are filled in here); an invariant
-/// violation writes the reproducer and returns kExitVerifyFailed.
+/// Runs every scheduler and prints the result table.
 int report(const TaskDag& dag, const CmpConfig& cfg,
-           const std::vector<std::string>& scheds, const CheckFlags& cf,
-           check::CrashRepro base) {
+           const std::vector<std::string>& scheds) {
   Table t({"sched", "cycles", "L2miss/1Kinstr", "l1_hits", "l2_hits",
            "l2_misses", "bw_util%", "core_util%", "steals"});
   for (const auto& sched : scheds) {
     CmpSimulator sim(cfg);
-    if (cf.check.any()) sim.set_check(cf.check);
     auto s = make_scheduler(sched);
-    base.sched = sched;
-    SimResult r;
-    try {
-      r = sim.run(dag, *s);
-    } catch (const check::CheckViolation& e) {
-      std::cerr << "cachesched_cli: " << e.what() << "\n";
-      base.op_index = e.op_index();
-      base.violation = e.what();
-      return fail_verify(cf, base);
-    }
+    const SimResult r = sim.run(dag, *s);
     t.add_row({r.scheduler, Table::num(r.cycles),
                Table::num(r.l2_misses_per_kilo_instr(), 3),
                Table::num(r.l1_hits), Table::num(r.l2_hits),
@@ -268,24 +209,9 @@ int report(const TaskDag& dag, const CmpConfig& cfg,
   return kExitOk;
 }
 
-/// The reproducer identity shared by run and replay: everything needed
-/// to re-create the run except the per-scheduler fields report() fills.
-check::CrashRepro base_repro(const CliArgs& args, const CheckFlags& cf,
-                             const AppOptions& opt) {
-  check::CrashRepro r;
-  r.tech = args.get("tech", "default");
-  r.cores = args.get_int("cores", 8);
-  r.scale = opt.scale;
-  r.task_ws = opt.mergesort_task_ws;
-  r.fine_grained = opt.fine_grained;
-  r.seed = opt.seed;
-  r.overrides = overrides_from_args(args);
-  r.check = cf.check.str();
-  return r;
-}
-
 int cmd_run(const CliArgs& args) {
-  const CmpConfig cfg = config_from_args(args);
+  CmpConfig cfg;
+  if (const int rc = config_from_args(args, &cfg)) return rc;
   AppOptions opt;
   opt.scale = args.get_double("scale", 0.125);
   opt.mergesort_task_ws = args.get_int<uint64_t>("task-ws", 0);
@@ -294,16 +220,12 @@ int cmd_run(const CliArgs& args) {
   if (const int rc = check_apps({app})) return rc;
   const std::vector<std::string> scheds = sched_list(args);
   if (const int rc = check_scheds(scheds)) return rc;
-  CheckFlags cf;
-  if (const int rc = check_flags_from_args(args, &cf)) return rc;
   // Every flag has been queried; fail on typos before the workload build.
   if (const int rc = args.check_unused()) return rc;
   const Workload w = make_workload(app, cfg, opt);
   std::cout << w.name << ": " << w.params << " (" << w.dag.num_tasks()
             << " tasks, " << w.dag.total_refs() << " refs)\n";
-  check::CrashRepro base = base_repro(args, cf, opt);
-  base.workload = app;
-  return report(w.dag, cfg, scheds, cf, std::move(base));
+  return report(w.dag, cfg, scheds);
 }
 
 int cmd_trace(const CliArgs& args) {
@@ -312,7 +234,8 @@ int cmd_trace(const CliArgs& args) {
     std::cerr << "trace: --out=FILE required\n";
     return 2;
   }
-  const CmpConfig cfg = config_from_args(args);
+  CmpConfig cfg;
+  if (const int rc = config_from_args(args, &cfg)) return rc;
   AppOptions opt;
   opt.scale = args.get_double("scale", 0.125);
   const std::string app = args.get("app", "mergesort");
@@ -334,78 +257,14 @@ int cmd_replay(const CliArgs& args) {
   }
   const std::vector<std::string> scheds = sched_list(args);
   if (const int rc = check_scheds(scheds)) return rc;
-  CheckFlags cf;
-  if (const int rc = check_flags_from_args(args, &cf)) return rc;
-  const CmpConfig cfg = config_from_args(args);
-  AppOptions opt;
-  opt.scale = args.get_double("scale", 0.125);
+  CmpConfig cfg;
+  if (const int rc = config_from_args(args, &cfg)) return rc;
   // Every flag has been queried; fail on typos before loading the DAG.
   if (const int rc = args.check_unused()) return rc;
   const TaskDag dag = load_dag(path);
   std::cout << "loaded " << dag.num_tasks() << " tasks / " << dag.total_refs()
             << " refs from " << path << "\n";
-  check::CrashRepro base = base_repro(args, cf, opt);
-  // A replayed DAG has no generator spec; replay-crash resolves the
-  // "dagfile:" prefix by loading the same file.
-  base.workload = "dagfile:" + path;
-  return report(dag, cfg, scheds, cf, std::move(base));
-}
-
-/// `replay-crash`: re-creates the run a crash reproducer captured —
-/// same workload, scheduler, configuration and armed checkers — and
-/// reports whether the violation reproduces.
-int cmd_replay_crash(const CliArgs& args) {
-  const std::string path = args.get("repro", "");
-  if (path.empty()) {
-    std::cerr << "replay-crash: --repro=FILE required\n";
-    return kExitUsage;
-  }
-  if (const int rc = args.check_unused()) return rc;
-  const check::CrashRepro r = check::CrashRepro::load(path);
-  std::cerr << "replay-crash: " << r.workload << " / " << r.sched
-            << " cores=" << r.cores << " scale=" << r.scale
-            << (r.check.empty() ? "" : " check=" + r.check) << "\n";
-  std::cerr << "replay-crash: recorded violation at op " << r.op_index
-            << ": " << r.violation << "\n";
-
-  CmpConfig cfg = r.tech == "45nm" ? single_tech_45nm_config(r.cores)
-                                   : default_config(r.cores);
-  cfg = cfg.scaled(r.scale);
-  r.overrides.apply(cfg);
-  std::string sched = r.sched;
-  if (sched == kSequentialSched) {  // mirror the sweep's seq-job rewrite
-    cfg.cores = 1;
-    cfg.name += "-seq";
-    sched = "pdf";
-  }
-
-  AppOptions opt;
-  opt.scale = r.scale;
-  opt.mergesort_task_ws = r.task_ws;
-  opt.fine_grained = r.fine_grained;
-  opt.seed = r.seed;
-  std::optional<Workload> built;
-  std::optional<TaskDag> loaded;
-  const TaskDag* dag;
-  if (r.workload.rfind("dagfile:", 0) == 0) {
-    loaded.emplace(load_dag(r.workload.substr(8)));
-    dag = &*loaded;
-  } else {
-    built.emplace(make_workload(r.workload, cfg, opt));
-    dag = &built->dag;
-  }
-
-  CmpSimulator sim(cfg);
-  if (!r.check.empty()) sim.set_check(check::CheckSpec::parse(r.check));
-  auto s = make_scheduler(sched);
-  try {
-    (void)sim.run(*dag, *s);
-  } catch (const check::CheckViolation& e) {
-    std::cerr << "replay-crash: REPRODUCED: " << e.what() << "\n";
-    return kExitVerifyFailed;
-  }
-  std::cout << "replay-crash: violation did NOT reproduce (clean run)\n";
-  return kExitOk;
+  return report(dag, cfg, scheds);
 }
 
 /// The sweep job-matrix flags, shared verbatim by `sweep` and
@@ -432,6 +291,19 @@ SweepSpec spec_from_args(const CliArgs& args) {
   return spec;
 }
 
+/// Expands the job matrix into `*jobs`. A tech or core count the tables
+/// do not list, or a bad scale, is a usage error: reported, exit 2,
+/// before anything is built.
+int expand_from_args(const SweepSpec& spec, std::vector<SweepJob>* jobs) {
+  try {
+    *jobs = expand(spec);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "sweep: " << e.what() << "\n";
+    return kExitUsage;
+  }
+  return kExitOk;
+}
+
 int cmd_sweep(const CliArgs& args) {
   SweepSpec spec = spec_from_args(args);
   if (const int rc = check_apps(spec.apps)) return rc;
@@ -447,14 +319,6 @@ int cmd_sweep(const CliArgs& args) {
   // (exit 3) rather than aborting the whole matrix. The library default
   // stays fail-fast; pass --quarantine=false to get it back.
   opt.quarantine = args.get_bool("quarantine", true);
-  const std::string check_spec = args.get("check", "");
-  const std::string repro_out = args.get_output("repro-out", "crash.repro");
-  try {
-    if (!check_spec.empty()) opt.check = check::CheckSpec::parse(check_spec);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "cachesched_cli: " << e.what() << "\n";
-    return kExitUsage;
-  }
   opt.cancel = [] { return g_signal != 0; };
   if (args.get_bool("progress", false)) {
     opt.on_result = [](const SweepRecord& r, size_t done, size_t total) {
@@ -491,7 +355,8 @@ int cmd_sweep(const CliArgs& args) {
     return kExitUsage;
   }
 
-  std::vector<SweepJob> jobs = expand(spec);
+  std::vector<SweepJob> jobs;
+  if (const int rc = expand_from_args(spec, &jobs)) return rc;
   if (jobs.empty()) {
     std::cerr << "sweep: empty job matrix (check --apps/--scheds/--cores)\n";
     return kExitUsage;
@@ -530,34 +395,6 @@ int cmd_sweep(const CliArgs& args) {
   SweepResults res;
   try {
     res = run_sweep(jobs, opt);
-  } catch (const check::CheckViolation& e) {
-    std::cerr << "sweep: invariant violation: " << e.what() << "\n";
-    const check::CheckViolation::Context& c = e.context();
-    if (c.set) {
-      check::CrashRepro repro;
-      repro.workload = c.app;
-      repro.sched = c.sched;
-      repro.tech = spec.tech;
-      repro.cores = c.cores;
-      repro.scale = c.scale;
-      repro.task_ws = c.task_ws;
-      repro.fine_grained = c.fine_grained;
-      repro.seed = c.seed;
-      repro.overrides = spec.overrides;
-      repro.check = opt.check.any() ? opt.check.str()
-                                    : check::default_check_spec().str();
-      repro.op_index = e.op_index();
-      repro.violation = e.what();
-      try {
-        repro.save(repro_out);
-        std::cerr << "sweep: crash reproducer written to " << repro_out
-                  << "; replay with:\n  cachesched_cli replay-crash --repro="
-                  << repro_out << "\n";
-      } catch (const std::exception& save_err) {
-        std::cerr << "sweep: " << save_err.what() << "\n";
-      }
-    }
-    return kExitVerifyFailed;
   } catch (const robust::SweepInterrupted& e) {
     std::cerr << "sweep: interrupted by signal " << static_cast<int>(g_signal)
               << " after " << e.completed() << "/" << e.total()
@@ -630,14 +467,13 @@ int cmd_sweep_merge(const CliArgs& args) {
   args.get_int("retries", 0);
   args.get_int<uint64_t>("retry-backoff", 0);
   args.get_bool("quarantine", true);
-  args.get("check", "");
-  args.get("repro-out", "");
   if (const int rc = args.check_unused()) return rc;
   if (store_dir.empty()) {
     std::cerr << "sweep merge: --store=DIR required\n";
     return kExitUsage;
   }
-  const std::vector<SweepJob> jobs = expand(spec);
+  std::vector<SweepJob> jobs;
+  if (const int rc = expand_from_args(spec, &jobs)) return rc;
   if (jobs.empty()) {
     std::cerr << "sweep merge: empty job matrix "
                  "(check --apps/--scheds/--cores)\n";
@@ -680,7 +516,13 @@ int cmd_memory(const CliArgs& args) {
   opt.mergesort_task_ws = args.get_int<uint64_t>("task-ws", 0);
   if (const int rc = args.check_unused()) return rc;
   if (const int rc = check_apps(apps)) return rc;
-  const CmpConfig cfg = default_config(cores).scaled(scale);
+  CmpConfig cfg;
+  try {
+    cfg = tech_config("default", cores).scaled(scale);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "cachesched_cli: " << e.what() << "\n";
+    return kExitUsage;
+  }
   Table t({"app", "tasks", "refs", "trace_arena_MB", "task_MB", "edge_MB",
            "group_MB", "total_MB", "B/task", "refs/B"});
   for (const std::string& app : apps) {
@@ -743,7 +585,7 @@ int cmd_configs(const CliArgs& args) {
 
 int usage() {
   std::cerr << "usage: cachesched_cli "
-               "{run|trace|replay|replay-crash|configs|list|sweep|"
+               "{run|trace|replay|configs|list|sweep|"
                "sweep merge|memory|paper} [options]\n"
                "see the header of tools/cachesched_cli.cc for options\n";
   return kExitUsage;
@@ -781,7 +623,6 @@ int main(int argc, char** argv) {
     else if (cmd == "run") rc = cmd_run(args);
     else if (cmd == "trace") rc = cmd_trace(args);
     else if (cmd == "replay") rc = cmd_replay(args);
-    else if (cmd == "replay-crash") rc = cmd_replay_crash(args);
     else if (cmd == "configs") rc = cmd_configs(args);
     else if (cmd == "list") rc = cmd_list(args);
     else if (cmd == "sweep") rc = cmd_sweep(args);

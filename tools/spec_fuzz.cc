@@ -1,7 +1,7 @@
 // spec_fuzz — deterministic mutational fuzzer for the repo's spec
-// grammars (DESIGN: ISSUE 10 satellite; run under ASan/UBSan in CI).
+// grammars (run under ASan/UBSan in CI).
 //
-//   spec_fuzz [--iters=10000] [--seed=1] [--grammars=gen,sched,fault,check,repro]
+//   spec_fuzz [--iters=10000] [--seed=1] [--grammars=gen,sched,fault]
 //
 // Every parser in the repo promises "throw std::invalid_argument with a
 // self-explanatory message, or succeed" — never crash, never throw
@@ -27,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "check/checkspec.h"
-#include "check/reproducer.h"
 #include "gen/genspec.h"
 #include "robust/faultinject.h"
 #include "sched/schedspec.h"
@@ -154,23 +152,6 @@ void parse_fault(const std::string& input) {
   (void)robust::parse_fault_spec(input);
 }
 
-void parse_check(const std::string& input) {
-  const check::CheckSpec c = check::CheckSpec::parse(input);
-  const check::CheckSpec c2 = check::CheckSpec::parse(c.str());
-  if (!(c2 == c)) {
-    throw std::logic_error("checkspec str round-trip mismatch: \"" + c.str() +
-                           "\"");
-  }
-}
-
-void parse_repro(const std::string& input) {
-  const check::CrashRepro r = check::CrashRepro::parse(input);
-  const check::CrashRepro r2 = check::CrashRepro::parse(r.serialize());
-  if (r2.serialize() != r.serialize()) {
-    throw std::logic_error("crash repro serialize round-trip mismatch");
-  }
-}
-
 std::vector<Grammar> make_grammars() {
   std::vector<Grammar> gs;
   gs.push_back(
@@ -192,25 +173,6 @@ std::vector<Grammar> make_grammars() {
         "store.rename.fail:every=2;store.read.torrent:every=3,seed=5,max=4",
         "alloc.workload_build:every=2;engine.stall:every=4,ms=1"},
        &parse_fault});
-  gs.push_back({"check",
-                {"coherence", "all", "coherence,sched,trace",
-                 "lru,period=64", "all,period=1", "sched", "trace,period=4096"},
-                &parse_check});
-  // A valid serialized reproducer as the corpus seed; mutations then
-  // exercise magic/key/value/duplicate/missing-key rejection paths.
-  check::CrashRepro seed_repro;
-  seed_repro.workload = "dnc:depth=4,fanout=2";
-  seed_repro.sched = "ws";
-  seed_repro.check = "all,period=64";
-  seed_repro.op_index = 1234;
-  seed_repro.violation = "coherence: example";
-  check::CrashRepro seed2;
-  seed2.workload = "dagfile:results/crash.dag";
-  seed2.sched = "ws:steal=half,victims=rand,seed=9";
-  seed2.cores = 16;
-  seed2.violation = "sched: task 7 dispatched twice";
-  gs.push_back(
-      {"repro", {seed_repro.serialize(), seed2.serialize()}, &parse_repro});
   return gs;
 }
 
@@ -221,7 +183,7 @@ int main(int argc, char** argv) {
   const uint64_t iters = args.get_int<uint64_t>("iters", 10000);
   const uint64_t seed = args.get_int<uint64_t>("seed", 1);
   const std::vector<std::string> wanted =
-      args.get_list("grammars", "gen,sched,fault,check,repro");
+      args.get_list("grammars", "gen,sched,fault");
 
   std::vector<Grammar> all = make_grammars();
   std::vector<Grammar*> active;
