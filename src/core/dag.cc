@@ -28,14 +28,6 @@ uint64_t TaskDag::node_depth() const {
   return depth;
 }
 
-void TraceArena::build_interleave_fast() {
-  inter_fast.clear();
-  inter_fast.reserve(inter.size());
-  for (const InterleaveSide& sd : inter) {
-    inter_fast.push_back(make_interleave_fast(sd));
-  }
-}
-
 void TaskDag::build_group_children() {
   for (const TaskGroup& g : groups_) {
     if (g.parent != kNoGroup) ++groups_[g.parent].num_children;
@@ -58,16 +50,14 @@ void TaskDag::build_group_children() {
 TaskDag::MemoryStats TaskDag::memory_stats() const {
   MemoryStats m;
   if (arena_) {
-    m.trace_arena_bytes =
-        arena_->blocks.capacity() * sizeof(PackedRef) +
-        arena_->inter.capacity() * sizeof(InterleaveSide) +
-        arena_->inter_fast.capacity() * sizeof(InterleaveFast);
+    m.trace_arena_bytes = arena_->blocks.size() * sizeof(PackedRef) +
+                          arena_->inter.size() * sizeof(InterleaveSide);
   }
-  m.task_bytes = tasks_.capacity() * sizeof(Task);
-  m.edge_bytes = child_edges_.capacity() * sizeof(TaskId) +
-                 roots_.capacity() * sizeof(TaskId);
-  m.group_bytes = groups_.capacity() * sizeof(TaskGroup) +
-                  group_child_edges_.capacity() * sizeof(GroupId);
+  m.task_bytes = tasks_.size() * sizeof(Task);
+  m.edge_bytes = child_edges_.size() * sizeof(TaskId) +
+                 roots_.size() * sizeof(TaskId);
+  m.group_bytes = groups_.size() * sizeof(TaskGroup) +
+                  group_child_edges_.size() * sizeof(GroupId);
   return m;
 }
 
@@ -250,10 +240,7 @@ TaskDag DagBuilder::finish() {
     if (dag_.tasks_[t].num_parents == 0) dag_.roots_.push_back(t);
   }
   dag_.build_group_children();
-  if (arena_) {
-    arena_->build_interleave_fast();
-    dag_.arena_ = std::move(arena_);
-  }
+  if (arena_) dag_.arena_ = std::move(arena_);
   return std::move(dag_);
 }
 

@@ -53,15 +53,11 @@ struct TaskGroup {
 };
 
 /// Every task's packed reference blocks, in task order, plus the
-/// kInterleave side tables. Immutable once built; held by shared_ptr so a
+/// kInterleave side table. Immutable once built; held by shared_ptr so a
 /// derived DAG (coarsen_dag) replays its source's blocks without a copy.
 struct TraceArena {
-  std::vector<PackedRef> blocks;           // 32 B per block
-  std::vector<InterleaveSide> inter;       // kInterleave stream data
-  std::vector<InterleaveFast> inter_fast;  // derived, parallel to inter
-
-  /// (Re)builds inter_fast from inter.
-  void build_interleave_fast();
+  std::vector<PackedRef> blocks;      // 32 B per block
+  std::vector<InterleaveSide> inter;  // one record per kInterleave block
 };
 
 class TaskDag {
@@ -91,22 +87,10 @@ class TaskDag {
     return {arena_->blocks.data() + n.first_block, n.num_blocks};
   }
 
-  /// Side table holding kInterleave stream data (PackedRef::side_index).
+  /// Side table holding each kInterleave block's streams
+  /// (PackedRef::side_index).
   const InterleaveSide* interleave_data() const {
     return arena_ ? arena_->inter.data() : nullptr;
-  }
-
-  /// Derived expansion constants, one per interleave_data() entry (same
-  /// side_index), built once per arena so the simulator's refill
-  /// re-derives nothing per block (see InterleaveFast).
-  const InterleaveFast* interleave_fast() const {
-    return arena_ ? arena_->inter_fast.data() : nullptr;
-  }
-
-  /// Reconstructs the builder-facing descriptor of one of this DAG's
-  /// packed blocks (dag_io writes blocks in this form).
-  RefBlock unpack(const PackedRef& p) const {
-    return unpack_ref(p, arena_->inter.data());
   }
 
   TraceCursor cursor(TaskId t) const {
@@ -137,12 +121,13 @@ class TaskDag {
   /// description of the first violation. Used by tests and the builder.
   std::string validate() const;
 
-  /// Resident byte sizes of the DAG's components — the "memory at paper
-  /// scale" accounting reported by `cachesched_cli memory`. A DAG that
-  /// shares its arena with another (a coarsened DAG and its source) counts
-  /// all of the arena, so the two DAGs' totals overlap.
+  /// Byte sizes of the DAG's stored elements (vector sizes, not their
+  /// capacities) — the "memory at paper scale" accounting reported by
+  /// `cachesched_cli memory`. A DAG that shares its arena with another (a
+  /// coarsened DAG and its source) counts all of the arena, so the two
+  /// DAGs' totals overlap.
   struct MemoryStats {
-    uint64_t trace_arena_bytes = 0;  // PackedRef arena + interleave tables
+    uint64_t trace_arena_bytes = 0;  // PackedRef arena + interleave table
     uint64_t task_bytes = 0;         // Task records
     uint64_t edge_bytes = 0;         // child-edge CSR + roots
     uint64_t group_bytes = 0;        // TaskGroup records + group-child CSR
@@ -154,11 +139,9 @@ class TaskDag {
 
  private:
   friend class DagBuilder;
-  friend TaskDag load_dag(const std::string& path);  // core/dag_io.h
   /// Builds the group-child CSR from the groups' parent links (a parent
   /// precedes its children, which are listed in id order; every
-  /// num_children starts at 0); called wherever a TaskDag is assembled
-  /// (DagBuilder::finish, load_dag).
+  /// num_children starts at 0); called by DagBuilder::finish.
   void build_group_children();
   std::vector<Task> tasks_;
   std::shared_ptr<const TraceArena> arena_;  // null only in an empty DAG

@@ -27,14 +27,15 @@
 // index arithmetic, and the L1-hit accesses to the other words of the
 // line). This is what makes "L2 misses per 1000 instructions" meaningful.
 //
-// Two representations exist. `RefBlock` is the builder-facing descriptor
-// (one struct with a field for every kind, convenient to construct).
-// Storage and replay use `PackedRef`: a 32-byte tagged record covering the
-// common kinds directly, with kInterleave stream data hash-free in a side
-// table (`InterleaveSide`). The packed form roughly halves trace footprint
-// and keeps the simulator's refill scan sequential and cache-dense;
-// pack_ref/unpack_ref convert losslessly between the two. A TaskDag keeps
-// every task's PackedRefs in one arena in task order (core/dag.h).
+// `RefBlock` is the builder-facing descriptor (one struct with a field for
+// every kind, convenient to construct). pack_ref turns it into the one
+// stored form, `PackedRef`: a 32-byte tagged record covering the common
+// kinds directly, with each kInterleave block's streams compacted and
+// classified once into a side-table record (`InterleaveSide`) that both
+// the reference TraceCursor and the engine's batched expander read. The
+// packed form roughly halves trace footprint and keeps the simulator's
+// refill scan sequential and cache-dense. A TaskDag keeps every task's
+// PackedRefs in one arena in task order (core/dag.h).
 #pragma once
 
 #include <cassert>
@@ -138,21 +139,14 @@ struct RefBlock {
   uint64_t total_refs() const { return kind == RefKind::kCompute ? 0 : count; }
 };
 
-/// kInterleave stream data, stored once per interleave block in a side
-/// table next to the packed arena (see PackedRef).
-struct InterleaveSide {
-  uint32_t line_bytes = 128;
-  uint32_t num_streams = 0;
-  StreamRef streams[kMaxStreams];
-};
-
-/// Derived per-interleave-block constants, computed once per TaskDag
-/// (TaskDag::interleave_fast) so the simulator's refill does no per-step
-/// re-derivation. Streams are compacted to the non-empty ones — an empty
-/// stream is never picked by the proportional schedule nor by its
-/// fallback, so dropping it preserves the emission sequence exactly —
-/// and classified by the shape of the Bresenham pick:
+/// A kInterleave block's streams, stored once per block in a side table
+/// next to the packed arena (PackedRef::side_index). pack_ref compacts the
+/// descriptor's streams to the non-empty ones, in order — an empty stream
+/// is never picked by the proportional schedule nor by its fallback, so
+/// dropping it preserves the emission sequence exactly — and classifies
+/// the shape of the pick:
 ///
+///   kEmpty  — no references.
 ///   kSingle — one stream: consecutive lines, no schedule arithmetic.
 ///   kAlt2   — two equal-length streams: the schedule degenerates to a
 ///             strict 0,1,0,1 alternation (the copy-pass shape emitted by
@@ -160,76 +154,52 @@ struct InterleaveSide {
 ///   kPair   — two streams, general: signed error terms with whole-run
 ///             expansion when one stream is behind its target.
 ///   kTriple — three streams: priority-chained error terms.
-///   kGeneric — count too large for the int64 error terms (>= 2^31
-///             references in one block); expanded by the uint64 reference
-///             loop instead.
-struct InterleaveFast {
-  enum Kind : uint8_t { kEmpty, kSingle, kAlt2, kPair, kTriple, kGeneric };
-  Kind kind = kEmpty;
-  uint8_t ns = 0;  // compacted (non-empty) stream count
+struct InterleaveSide {
+  enum Kind : uint8_t { kEmpty, kSingle, kAlt2, kPair, kTriple };
+  uint64_t base[kMaxStreams] = {};   // byte address of each first line
+  uint32_t lines[kMaxStreams] = {};  // L_s, all non-zero
   uint32_t line_bytes = 128;
-  uint32_t lines[kMaxStreams] = {};  // L_s
-  uint32_t gain[kMaxStreams] = {};   // n - L_s: error decrement per pick
+  Kind kind = kEmpty;
+  uint8_t num_streams = 0;
   bool write[kMaxStreams] = {};
-  uint64_t base[kMaxStreams] = {};
 };
 
-inline InterleaveFast make_interleave_fast(const InterleaveSide& sd) {
-  InterleaveFast f;
-  f.line_bytes = sd.line_bytes;
-  uint64_t n = 0;
-  for (uint32_t s = 0; s < sd.num_streams; ++s) n += sd.streams[s].lines;
-  for (uint32_t s = 0; s < sd.num_streams; ++s) {
-    const StreamRef& r = sd.streams[s];
-    if (r.lines == 0) continue;
-    f.base[f.ns] = r.base;
-    f.lines[f.ns] = r.lines;
-    f.gain[f.ns] = static_cast<uint32_t>(n - r.lines);
-    f.write[f.ns] = r.is_write;
-    ++f.ns;
-  }
-  if (n >= (uint64_t{1} << 31)) {
-    f.kind = InterleaveFast::kGeneric;
-  } else if (f.ns == 0) {
-    f.kind = InterleaveFast::kEmpty;
-  } else if (f.ns == 1) {
-    f.kind = InterleaveFast::kSingle;
-  } else if (f.ns == 2) {
-    f.kind = f.lines[0] == f.lines[1] ? InterleaveFast::kAlt2
-                                      : InterleaveFast::kPair;
-  } else {
-    f.kind = InterleaveFast::kTriple;
-  }
-  return f;
-}
+static_assert(sizeof(InterleaveSide) <= 48,
+              "one interleave record per block must stay small");
+
+/// Bound on an interleave block's references (the sum of its stream
+/// lines), enforced by pack_ref: below it interleave_expand's int64 error
+/// terms are exact. The largest block any built-in workload makes is far
+/// smaller (quicksort's partition pass: 2^21 references at full scale).
+inline constexpr uint64_t kMaxInterleaveRefs = uint64_t{1} << 31;
 
 /// Expands references [i, end) of an interleave block of `n` total
-/// references through the derived constants `f`, calling emit(addr, s)
-/// per reference (s indexes f's *compacted* streams). `em` is the
-/// per-compacted-stream emitted-line state, updated in place; resuming
-/// from any (i, em) state reached by a previous call continues the exact
-/// sequence. Must not be called with kind kEmpty (nothing to emit) or
-/// kGeneric (callers keep the uint64 per-reference loop for that case).
+/// references through its record `f`, calling emit(addr, s) per reference
+/// (s indexes f's streams). `em` is the per-stream emitted-line state,
+/// updated in place; resuming from any (i, em) state reached by a previous
+/// call continues the exact sequence. Must not be called with kind kEmpty
+/// (nothing to emit).
 ///
 /// The emitted schedule is byte-identical to TraceCursor::next()'s
 /// proportional first-behind rule — stream s is due when
 /// (i+1)*L_s >= (em_s+1)*n, the first due stream is picked, and a floor
 /// rounding gap falls back to the first unfinished stream —
 /// tests/trace_test.cc proves equality on randomized configurations and
-/// resume boundaries. All error terms are exact: |D_s| < n^2 < 2^62.
+/// resume boundaries. All error terms are exact: |D_s| < n^2 < 2^62
+/// (n < kMaxInterleaveRefs).
 template <class EmitFn>
-inline void interleave_expand(const InterleaveFast& f, uint32_t n, uint32_t i,
+inline void interleave_expand(const InterleaveSide& f, uint32_t n, uint32_t i,
                               uint32_t end, uint32_t em[kMaxStreams],
                               EmitFn&& emit) {
   const uint32_t lb = f.line_bytes;
   switch (f.kind) {
-    case InterleaveFast::kSingle: {
+    case InterleaveSide::kSingle: {
       uint64_t a = f.base[0] + uint64_t{em[0]} * lb;
       em[0] += end - i;
       for (; i < end; ++i, a += lb) emit(a, 0);
       return;
     }
-    case InterleaveFast::kAlt2: {
+    case InterleaveSide::kAlt2: {
       uint64_t a0 = f.base[0] + uint64_t{em[0]} * lb;
       uint64_t a1 = f.base[1] + uint64_t{em[1]} * lb;
       if ((i & 1) != 0 && i < end) {
@@ -252,9 +222,11 @@ inline void interleave_expand(const InterleaveFast& f, uint32_t n, uint32_t i,
       }
       return;
     }
-    case InterleaveFast::kPair: {
-      const int64_t g0 = f.gain[0];  // == lines[1]
-      const int64_t g1 = f.gain[1];  // == lines[0]
+    case InterleaveSide::kPair: {
+      // Picking stream s advances its goal by n and every progress term by
+      // its L, so s's error falls by n - L_s: the other stream's length.
+      const int64_t g0 = f.lines[1];
+      const int64_t g1 = f.lines[0];
       int64_t d0 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[0]) -
                    static_cast<int64_t>((uint64_t{em[0]} + 1) * n);
       int64_t d1 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[1]) -
@@ -321,7 +293,7 @@ inline void interleave_expand(const InterleaveFast& f, uint32_t n, uint32_t i,
       }
       return;
     }
-    case InterleaveFast::kTriple: {
+    case InterleaveSide::kTriple: {
       const int64_t l0 = f.lines[0];
       const int64_t l1 = f.lines[1];
       const int64_t l2 = f.lines[2];
@@ -375,9 +347,8 @@ inline void interleave_expand(const InterleaveFast& f, uint32_t n, uint32_t i,
       }
       return;
     }
-    case InterleaveFast::kEmpty:
-    case InterleaveFast::kGeneric:
-      assert(false && "interleave_expand: kEmpty/kGeneric not expandable");
+    case InterleaveSide::kEmpty:
+      assert(false && "interleave_expand: kEmpty has nothing to emit");
       return;
   }
 }
@@ -431,9 +402,12 @@ struct PackedRef {
 static_assert(sizeof(PackedRef) == 32, "PackedRef must stay one third of a "
                                        "typical cache line");
 
-/// Packs a descriptor into the 32-byte storage form, appending kInterleave
-/// stream data to `side`. Throws if instr_per_ref does not fit its 29-bit
-/// field (no real workload comes close).
+/// Packs a descriptor into the 32-byte storage form, appending a
+/// kInterleave block's compacted, classified streams to `side`. Throws if
+/// instr_per_ref does not fit its 29-bit field, or if an interleave
+/// block's streams total kMaxInterleaveRefs lines or more — summed in
+/// uint64, so a `count` that wrapped in RefBlock::interleave is caught
+/// too (no real workload comes close to either bound).
 inline PackedRef pack_ref(const RefBlock& b,
                           std::vector<InterleaveSide>* side) {
   PackedRef p;
@@ -461,39 +435,39 @@ inline PackedRef pack_ref(const RefBlock& b,
       p.c = b.seed;
       break;
     case RefKind::kInterleave: {
-      p.count = b.count;
-      p.a = side->size();
       InterleaveSide s;
       s.line_bytes = b.line_bytes;
-      s.num_streams = b.num_streams;
-      for (int i = 0; i < b.num_streams; ++i) s.streams[i] = b.streams[i];
+      uint64_t total = 0;
+      for (int i = 0; i < b.num_streams; ++i) {
+        const StreamRef& r = b.streams[i];
+        total += r.lines;
+        if (r.lines == 0) continue;
+        s.base[s.num_streams] = r.base;
+        s.lines[s.num_streams] = r.lines;
+        s.write[s.num_streams] = r.is_write;
+        ++s.num_streams;
+      }
+      if (total >= kMaxInterleaveRefs) {
+        throw std::invalid_argument(
+            "interleave block has 2^31 or more references");
+      }
+      if (s.num_streams == 0) {
+        s.kind = InterleaveSide::kEmpty;
+      } else if (s.num_streams == 1) {
+        s.kind = InterleaveSide::kSingle;
+      } else if (s.num_streams == 2) {
+        s.kind = s.lines[0] == s.lines[1] ? InterleaveSide::kAlt2
+                                          : InterleaveSide::kPair;
+      } else {
+        s.kind = InterleaveSide::kTriple;
+      }
+      p.count = b.count;
+      p.a = side->size();
       side->push_back(s);
       break;
     }
   }
   return p;
-}
-
-/// Inverse of pack_ref: reconstructs the descriptor a factory would have
-/// produced (unused fields at their defaults), so pack/unpack round-trips
-/// byte-identically through the dag_io file format.
-inline RefBlock unpack_ref(const PackedRef& p, const InterleaveSide* side) {
-  switch (p.kind()) {
-    case RefKind::kCompute:
-      return RefBlock::compute(p.instr());
-    case RefKind::kStride:
-      return RefBlock::stride_ref(p.base(), p.count, p.stride(), p.is_write(),
-                                  p.instr_per_ref(), p.period());
-    case RefKind::kRandom:
-      return RefBlock::random_ref(p.base(), p.region_len(), p.count, p.seed(),
-                                  p.is_write(), p.instr_per_ref());
-    case RefKind::kInterleave: {
-      const InterleaveSide& s = side[p.side_index()];
-      return RefBlock::interleave(s.streams, static_cast<int>(s.num_streams),
-                                  s.line_bytes, p.instr_per_ref());
-    }
-  }
-  return RefBlock{};  // unreachable; kind() is 2 bits
 }
 
 /// One expanded operation from a trace.
@@ -560,8 +534,8 @@ class TraceCursor {
           // floor((s+1) * lines_i / total) lines after step s.
           int pick = -1;
           for (uint32_t i = 0; i < sd.num_streams; ++i) {
-            const uint64_t target = (static_cast<uint64_t>(ri_) + 1) *
-                                    sd.streams[i].lines / b.count;
+            const uint64_t target =
+                (static_cast<uint64_t>(ri_) + 1) * sd.lines[i] / b.count;
             if (em_[i] < target) {
               pick = static_cast<int>(i);
               break;
@@ -569,7 +543,7 @@ class TraceCursor {
           }
           if (pick < 0) {  // floor rounding gap: emit any unfinished stream
             for (uint32_t i = 0; i < sd.num_streams; ++i) {
-              if (em_[i] < sd.streams[i].lines) {
+              if (em_[i] < sd.lines[i]) {
                 pick = static_cast<int>(i);
                 break;
               }
@@ -577,9 +551,9 @@ class TraceCursor {
           }
           assert(pick >= 0);
           TraceOp op = mem_op(b);
-          op.addr = sd.streams[pick].base +
+          op.addr = sd.base[pick] +
                     static_cast<uint64_t>(em_[pick]) * sd.line_bytes;
-          op.is_write = sd.streams[pick].is_write;
+          op.is_write = sd.write[pick];
           ++em_[pick];
           ++ri_;
           return op;

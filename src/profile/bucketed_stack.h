@@ -1,6 +1,6 @@
 // Size-bucketed LRU stack: the reuse-distance primitive of the one-pass
 // working-set profiler (ws_profiler.h, the paper's LruTree, §6.1) and of
-// SetAssocProfiler's fully associative mode.
+// SetAssocProfiler's fully associative cache.
 //
 // A reference's reuse distance is the number of distinct lines touched
 // since the previous access to its line; it hits in a fully associative

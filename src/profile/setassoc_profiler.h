@@ -1,9 +1,10 @@
 // The SetAssoc baseline profiler (paper §6.1): measures a task group's
-// miss curve by replaying the group's trace through set-associative cache
-// simulations, one replay per (group, cache size) — cold-started, exactly
-// as the paper describes. Tedious by design: profiling a hierarchy of
-// nested groups revisits each reference once per enclosing level, which is
-// what the one-pass LruTree profiler (ws_profiler.h) eliminates.
+// miss curve by replaying the group's trace through a cache simulation,
+// one replay per (group, cache size) — cold-started, exactly as the paper
+// describes. The simulated cache is fully associative true LRU. Tedious
+// by design: profiling a hierarchy of nested groups revisits each
+// reference once per enclosing level, which is what the one-pass LruTree
+// profiler (ws_profiler.h) eliminates.
 // `cachesched_cli paper --only=table_profiler` reproduces the §6.1 runtime
 // comparison.
 #pragma once
@@ -17,9 +18,7 @@ namespace cachesched {
 
 class SetAssocProfiler {
  public:
-  /// `ways` = 0 selects full associativity (one set).
-  SetAssocProfiler(uint32_t line_bytes, int ways = 16)
-      : line_bytes_(line_bytes), ways_(ways) {}
+  explicit SetAssocProfiler(uint32_t line_bytes) : line_bytes_(line_bytes) {}
 
   struct GroupStats {
     uint64_t refs = 0;
@@ -39,7 +38,6 @@ class SetAssocProfiler {
 
  private:
   uint32_t line_bytes_;
-  int ways_;
 };
 
 }  // namespace cachesched

@@ -40,10 +40,11 @@
 // reload the member pointers and spill the engine's accumulator
 // registers. Word-typed stores keep the hot loop's state in registers.
 //
-// The byte permutation caps the fast layout at 255 ways; wider caches
-// (the fully-associative configurations of tests and profilers) fall back
-// to per-way timestamps with a linear victim search — same true-LRU
-// behaviour, chosen automatically by associativity.
+// The byte permutation caps the fast layout at 255 ways; wider caches fall
+// back to per-way timestamps with a linear victim search — same true-LRU
+// behaviour, chosen automatically by associativity. No CLI configuration
+// reaches it (the tables top out at 28 ways); theorem_test's ideal caches
+// (one set of C + P*D*max_refs lines) and oracle_test's 300-way L2 do.
 //
 // For the shared L2, each line's meta carries:
 //  * a presence mask: which cores' L1s hold a copy (inclusion bookkeeping
@@ -51,7 +52,6 @@
 //  * a dirty bit (writeback traffic accounting).
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -105,8 +105,6 @@ class SetAssocCache {
     }
   }
 
-  uint64_t num_sets() const { return sets_; }
-  int ways() const { return ways_; }
   uint64_t capacity_lines() const { return sets_ * ways_; }
 
   /// Probes for `line`; returns the entry or nullptr. Does not touch LRU.
@@ -149,13 +147,6 @@ class SetAssocCache {
     return false;
   }
 
-  /// Marks `entry` most-recently-used; returns `entry` (stable).
-  Line* touch(Line* entry) {
-    const size_t idx = static_cast<size_t>(entry - meta_.data());
-    make_mru(idx / ways_, static_cast<int>(idx % ways_));
-    return entry;
-  }
-
   /// Installs `line` as MRU, reusing an invalid way if the set has one and
   /// evicting the LRU way otherwise. The caller handles the returned
   /// eviction (writeback, back-invalidation). The new entry is returned
@@ -165,15 +156,6 @@ class SetAssocCache {
     const Evicted ev = install_impl(line & mask_, line, dirty, &entry);
     if (out) *out = entry;
     return ev;
-  }
-
-  /// Invalidates `line` if present; returns whether it was dirty.
-  bool invalidate(uint64_t line) {
-    Line* entry = probe(line);
-    if (entry == nullptr) return false;
-    const bool dirty = entry->dirty;
-    invalidate(entry);
-    return dirty;
   }
 
   /// Invalidates the valid entry `entry` (from probe/access/install).
@@ -206,25 +188,6 @@ class SetAssocCache {
   /// The entry at a slot_of index; always a valid pointer.
   Line* entry_at(uint32_t slot) { return &meta_[slot]; }
   const Line* entry_at(uint32_t slot) const { return &meta_[slot]; }
-
-  /// Number of valid lines (test/diagnostic helper; O(sets)).
-  uint64_t valid_lines() const {
-    uint64_t n = 0;
-    for (uint32_t c : valid_cnt_) n += c;
-    return n;
-  }
-
-  void clear() {
-    for (Line& l : meta_) l = Line{};
-    for (uint32_t& c : valid_cnt_) c = 0;
-    std::fill(rows_.begin(), rows_.end(), 0);
-    if (wide_) {
-      stamps_.assign(stamps_.size(), 0);
-      stamp_ = 0;
-    } else {
-      reset_order();
-    }
-  }
 
  private:
   static constexpr uint64_t kOnes = 0x0101010101010101ULL;

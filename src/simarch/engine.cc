@@ -208,12 +208,11 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
   // the expansion position; returns the number of ops buffered (0 = task
   // trace exhausted). Expansion never looks at the caches or the clock, so
   // running ahead of the simulation is safe — the batched expander itself
-  // (per-block constants amortized over the batch, InterleaveFast
-  // schedules, the same emission sequence as the reference loop) lives in
-  // engine_detail.h and is pinned by tests/golden_sim_test.cc and the
-  // equality test in tests/trace_test.cc.
-  const TraceExpander expander{dag.interleave_data(), dag.interleave_fast(),
-                               line_shift};
+  // (per-block constants amortized over the batch, interleave schedules
+  // specialized by the record's kind, the same emission sequence as
+  // TraceCursor) lives in engine_detail.h and is pinned by
+  // tests/golden_sim_test.cc and the equality tests in tests/trace_test.cc.
+  const TraceExpander expander{dag.interleave_data(), line_shift};
   auto refill = [&expander](CoreState& core) {
     const int len = expander.expand(core.blocks, core.num_blocks, core.bi,
                                     core.ri, core.em, core.buf, kBufOps);

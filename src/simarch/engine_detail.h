@@ -46,7 +46,6 @@ inline uint64_t evt_key(uint64_t time, int c) {
 /// call and amortized over the batch.
 struct TraceExpander {
   const InterleaveSide* inter;  // dag.interleave_data()
-  const InterleaveFast* ifast;  // dag.interleave_fast()
   int line_shift;
 
   /// Expands up to `cap` ops from (blocks, nb) at cursor (bi, ri, em)
@@ -142,64 +141,19 @@ struct TraceExpander {
         case RefKind::kInterleave: {
           const uint32_t n = b.count;
           const uint32_t ipr = b.instr_per_ref();
-          const InterleaveFast& f = ifast[b.side_index()];
+          const InterleaveSide& f = inter[b.side_index()];
           uint32_t i = ri;
           const uint32_t end =
               std::min(n, i + static_cast<uint32_t>(cap - len));
-          if (f.kind != InterleaveFast::kGeneric) {
-            const uint32_t mw[kMaxStreams] = {
-                ipr | (f.write[0] ? kBufWrite : 0u),
-                ipr | (f.write[1] ? kBufWrite : 0u),
-                ipr | (f.write[2] ? kBufWrite : 0u)};
-            if (i < end) {
-              interleave_expand(f, n, i, end, em,
-                                [&](uint64_t addr, int s) {
-                                  buf[len++] = BufOp{addr >> line_shift, mw[s]};
-                                });
-              i = end;
-            }
-          } else {
-            // Reference expansion for blocks whose error terms would not
-            // fit int64 (>= 2^31 refs): the uint64 Bresenham products
-            // prog_s = (i+1)*lines_s vs goal_s = (em_s+1)*n; "behind
-            // target" is prog_s >= goal_s, prog gains lines_s per step
-            // and goal gains n per emission (exact: uint32 factors).
-            const InterleaveSide& sd = inter[b.side_index()];
-            const int ns = static_cast<int>(sd.num_streams);
-            const uint32_t lb = sd.line_bytes;
-            uint64_t prog[kMaxStreams];
-            uint64_t goal[kMaxStreams];
-            uint64_t addr_next[kMaxStreams];
-            for (int s = 0; s < ns; ++s) {
-              prog[s] = (static_cast<uint64_t>(i) + 1) * sd.streams[s].lines;
-              goal[s] = (static_cast<uint64_t>(em[s]) + 1) * n;
-              addr_next[s] =
-                  sd.streams[s].base + static_cast<uint64_t>(em[s]) * lb;
-            }
-            for (; i < end; ++i) {
-              int pick = -1;
-              for (int s = 0; s < ns; ++s) {
-                if (prog[s] >= goal[s]) {
-                  pick = s;
-                  break;
-                }
-              }
-              if (pick < 0) {  // floor rounding gap: any unfinished stream
-                for (int s = 0; s < ns; ++s) {
-                  if (em[s] < sd.streams[s].lines) {
-                    pick = s;
-                    break;
-                  }
-                }
-              }
-              buf[len++] =
-                  BufOp{addr_next[pick] >> line_shift,
-                        ipr | (sd.streams[pick].is_write ? kBufWrite : 0u)};
-              ++em[pick];
-              goal[pick] += n;
-              addr_next[pick] += lb;
-              for (int s = 0; s < ns; ++s) prog[s] += sd.streams[s].lines;
-            }
+          const uint32_t mw[kMaxStreams] = {
+              ipr | (f.write[0] ? kBufWrite : 0u),
+              ipr | (f.write[1] ? kBufWrite : 0u),
+              ipr | (f.write[2] ? kBufWrite : 0u)};
+          if (i < end) {
+            interleave_expand(f, n, i, end, em, [&](uint64_t addr, int s) {
+              buf[len++] = BufOp{addr >> line_shift, mw[s]};
+            });
+            i = end;
           }
           if (i == n) {
             ++bi;

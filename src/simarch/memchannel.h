@@ -21,7 +21,6 @@ class MemChannel {
     const uint64_t start = std::max(now, next_free_);
     next_free_ = start + service_;
     busy_cycles_ += service_;
-    ++requests_;
     queue_delay_cycles_ += start - now;
     return start + latency_;
   }
@@ -35,18 +34,9 @@ class MemChannel {
     ++writebacks_;
   }
 
-  uint64_t requests() const { return requests_; }
   uint64_t writebacks() const { return writebacks_; }
   uint64_t busy_cycles() const { return busy_cycles_; }
   uint64_t queue_delay_cycles() const { return queue_delay_cycles_; }
-
-  void reset() {
-    next_free_ = 0;
-    busy_cycles_ = 0;
-    queue_delay_cycles_ = 0;
-    requests_ = 0;
-    writebacks_ = 0;
-  }
 
  private:
   int latency_;
@@ -54,7 +44,6 @@ class MemChannel {
   uint64_t next_free_ = 0;
   uint64_t busy_cycles_ = 0;
   uint64_t queue_delay_cycles_ = 0;
-  uint64_t requests_ = 0;
   uint64_t writebacks_ = 0;
 };
 

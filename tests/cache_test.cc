@@ -18,16 +18,19 @@ TEST(Cache, RequiresPowerOfTwoSets) {
 TEST(Cache, MissThenHit) {
   SetAssocCache c(4, 2);
   EXPECT_EQ(c.probe(42), nullptr);
-  c.install(42, false, nullptr);
-  ASSERT_NE(c.probe(42), nullptr);
-  EXPECT_EQ(c.valid_lines(), 1u);
+  EXPECT_EQ(c.access(42), nullptr);
+  SetAssocCache::Line* e = nullptr;
+  c.install(42, false, &e);
+  EXPECT_EQ(c.probe(42), e);
+  EXPECT_EQ(c.access(42), e);
+  EXPECT_EQ(e->tag, 42u);
 }
 
 TEST(Cache, LruEvictionOrder) {
   SetAssocCache c(1, 2);  // fully associative, 2 lines
   c.install(1, false, nullptr);
   c.install(2, false, nullptr);
-  c.touch(c.probe(1));              // 1 is now MRU
+  c.access(1);                      // 1 is now MRU
   auto ev = c.install(3, false, nullptr);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.line, 2u);           // LRU evicted
@@ -58,22 +61,25 @@ TEST(Cache, EvictionReportsDirtyAndPresence) {
   EXPECT_EQ(ev.presence, 0b101u);
 }
 
-TEST(Cache, InvalidateReturnsDirtiness) {
+TEST(Cache, InvalidateClearsTheEntry) {
   SetAssocCache c(2, 2);
-  c.install(10, true, nullptr);
-  c.install(11, false, nullptr);
-  EXPECT_TRUE(c.invalidate(10));
-  EXPECT_FALSE(c.invalidate(11));
-  EXPECT_FALSE(c.invalidate(12));  // absent
+  SetAssocCache::Line* e = nullptr;
+  c.install(10, true, &e);
+  e->presence = 0b11;
+  c.install(12, false, nullptr);
+  c.invalidate(e);
   EXPECT_EQ(c.probe(10), nullptr);
-  EXPECT_EQ(c.valid_lines(), 0u);
+  EXPECT_EQ(e->tag, SetAssocCache::kInvalidTag);  // the slot holds nothing
+  EXPECT_FALSE(e->dirty);
+  EXPECT_EQ(e->presence, 0u);
+  EXPECT_NE(c.probe(12), nullptr);  // the set's other line is untouched
 }
 
 TEST(Cache, InstallPrefersInvalidWays) {
   SetAssocCache c(1, 3);
   c.install(1, false, nullptr);
   c.install(2, false, nullptr);
-  c.invalidate(1);
+  c.invalidate(c.probe(1));
   auto ev = c.install(3, false, nullptr);
   EXPECT_FALSE(ev.valid);  // reused the invalid slot, no eviction
   EXPECT_NE(c.probe(2), nullptr);
@@ -83,65 +89,84 @@ TEST(Cache, HighAssociativityScan) {
   // Paper configs use up to 28 ways; exercise a full wide set.
   SetAssocCache c(1, 28);
   for (uint64_t l = 0; l < 28; ++l) c.install(l, false, nullptr);
-  EXPECT_EQ(c.valid_lines(), 28u);
-  for (uint64_t l = 0; l < 28; ++l) {
-    ASSERT_NE(c.probe(l), nullptr) << l;
-    c.touch(c.probe(l));
-  }
+  for (uint64_t l = 0; l < 28; ++l) ASSERT_NE(c.access(l), nullptr) << l;
   auto ev = c.install(100, false, nullptr);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.line, 0u);  // the least recently touched
 }
 
-TEST(Cache, ClearResetsEverything) {
-  SetAssocCache c(2, 2);
-  c.install(1, true, nullptr);
-  c.clear();
-  EXPECT_EQ(c.valid_lines(), 0u);
-  EXPECT_EQ(c.probe(1), nullptr);
-}
-
 TEST(Cache, WideAssociativityFallback) {
-  // > 255 ways switches to the timestamp-LRU path (fully-associative
-  // profiler/test configurations); semantics must be unchanged.
+  // > 255 ways switches to the timestamp-LRU path (theorem_test's ideal
+  // caches, oracle_test's 300-way L2); semantics must be unchanged.
   SetAssocCache c(1, 300);
   for (uint64_t l = 0; l < 300; ++l) c.install(l, false, nullptr);
-  EXPECT_EQ(c.valid_lines(), 300u);
-  c.touch(c.probe(0));  // 0 becomes MRU; 1 is now the LRU line
+  c.access(0);  // 0 becomes MRU; 1 is now the LRU line
   auto ev = c.install(1000, false, nullptr);
   ASSERT_TRUE(ev.valid);
   EXPECT_EQ(ev.line, 1u);
   EXPECT_NE(c.probe(0), nullptr);
   EXPECT_EQ(c.probe(1), nullptr);
-  EXPECT_FALSE(c.invalidate(2));  // was clean
+  c.invalidate(c.probe(2));
   EXPECT_EQ(c.probe(2), nullptr);
-  EXPECT_EQ(c.valid_lines(), 299u);
+  ev = c.install(1001, false, nullptr);
+  EXPECT_FALSE(ev.valid);  // filled the way line 2 left
+  EXPECT_NE(c.probe(3), nullptr);
+}
+
+// Drives a cache through every entry point the engine uses — access,
+// access_or_install, install, probe and invalidate(Line*) — against a
+// simple per-set true-LRU reference model, checking each hit and victim.
+void lru_stress(uint64_t sets, int ways, uint64_t lines, uint64_t seed) {
+  SetAssocCache c(sets, ways);
+  std::vector<std::vector<uint64_t>> ref(sets);  // MRU at front
+  SplitMix64 rng(seed);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t line = rng.next() % lines;
+    auto& v = ref[line % sets];
+    const auto it = std::find(v.begin(), v.end(), line);
+    const bool ref_hit = it != v.end();
+    const uint64_t op = rng.next() % 8;
+    if (op == 0) {
+      SetAssocCache::Line* e = c.probe(line);
+      ASSERT_EQ(e != nullptr, ref_hit) << "iteration " << i;
+      if (e != nullptr) {
+        c.invalidate(e);
+        v.erase(it);
+      }
+      continue;
+    }
+    if (ref_hit) v.erase(it);
+    v.insert(v.begin(), line);
+    bool ref_evict = false;
+    uint64_t ref_victim = 0;
+    if (v.size() > static_cast<size_t>(ways)) {
+      ref_evict = true;
+      ref_victim = v.back();
+      v.pop_back();
+    }
+    SetAssocCache::Evicted ev;
+    if (op & 1) {
+      SetAssocCache::Line* e = nullptr;
+      ASSERT_EQ(c.access_or_install(line, false, &e, &ev), ref_hit)
+          << "iteration " << i;
+      ASSERT_EQ(e->tag, line);
+      if (ref_hit) continue;
+    } else if (c.access(line) != nullptr) {
+      ASSERT_TRUE(ref_hit) << "iteration " << i;
+      continue;
+    } else {
+      ASSERT_FALSE(ref_hit) << "iteration " << i;
+      ev = c.install(line, false, nullptr);
+    }
+    ASSERT_EQ(ev.valid, ref_evict) << "iteration " << i;
+    if (ref_evict) ASSERT_EQ(ev.line, ref_victim) << "iteration " << i;
+  }
 }
 
 TEST(Cache, LruStressAgainstReferenceModel) {
-  // Compare against a simple per-set reference implementation.
-  constexpr uint64_t kSets = 4, kWays = 4;
-  SetAssocCache c(kSets, kWays);
-  std::vector<std::vector<uint64_t>> ref(kSets);  // MRU at front
-  SplitMix64 rng(11);
-  for (int i = 0; i < 20000; ++i) {
-    const uint64_t line = rng.next() % 64;
-    const uint64_t set = line % kSets;
-    auto& v = ref[set];
-    const auto it = std::find(v.begin(), v.end(), line);
-    const bool ref_hit = it != v.end();
-    if (ref_hit) v.erase(it);
-    v.insert(v.begin(), line);
-    if (v.size() > kWays) v.pop_back();
-
-    if (SetAssocCache::Line* e = c.probe(line)) {
-      EXPECT_TRUE(ref_hit) << "iteration " << i;
-      c.touch(e);
-    } else {
-      EXPECT_FALSE(ref_hit) << "iteration " << i;
-      c.install(line, false, nullptr);
-    }
-  }
+  lru_stress(4, 4, 64, 11);     // one order word per set
+  lru_stress(2, 20, 64, 12);    // multi-word rotation (> 16 ways)
+  lru_stress(1, 300, 400, 13);  // timestamp-LRU path (> 255 ways)
 }
 
 }  // namespace

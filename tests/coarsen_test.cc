@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "coarsen/coarsen.h"
-#include "profile/setassoc_profiler.h"
 #include "profile/ws_profiler.h"
 #include "sched/pdf_scheduler.h"
 #include "simarch/engine.h"

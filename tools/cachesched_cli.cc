@@ -3,10 +3,6 @@
 //   cachesched_cli run   --app=mergesort --cores=16 [--sched=pdf,ws]
 //                        [--scale=0.125] [--tech=default|45nm]
 //                        [--l2-hit=N] [--mem-latency=N] [--task-ws=BYTES]
-//   cachesched_cli trace --app=hashjoin --cores=8 --out=join.dag
-//                        [--scale=0.125]            # collect once...
-//   cachesched_cli replay --dag=join.dag --cores=8 [--sched=pdf]
-//                        [--scale=0.125]            # ...simulate many
 //   cachesched_cli configs                          # print Tables 2 and 3
 //   cachesched_cli list                             # registered schedulers
 //                                                   # and workloads
@@ -39,8 +35,9 @@
 //                        missing records abort (listing the holes) unless
 //                        --allow-holes emits the partial matrix (exit 3)
 //   cachesched_cli memory [--apps=mergesort] [--scale=1.0] [--cores=8]
-//                        [--task-ws=BYTES]  # deterministic DAG resident-
-//                        size report (trace arena + task metadata)
+//                        [--task-ws=BYTES]  # deterministic report of
+//                        the bytes a DAG stores (trace arena + task
+//                        metadata)
 //   cachesched_cli paper [--only=fig2,...] [--jobs=N] [--csv=DIR]
 //                        # regenerate every paper figure and table
 //                        (artifact list and CSV names: tools/paper.cc)
@@ -54,7 +51,7 @@
 //
 // The timing-override flags (--l2-hit, --mem-latency, --banks,
 // --dispatch) are parsed once into a ConfigOverrides (simarch/config.h)
-// and accepted by run/trace/replay/sweep alike.
+// and accepted by run and sweep alike.
 //
 // Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage
 // error (unknown flags/subcommands, malformed flag values including an
@@ -73,7 +70,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dag_io.h"
 #include "exp/store.h"
 #include "exp/sweep.h"
 #include "harness/apps.h"
@@ -120,7 +116,7 @@ int arm_faults_from_cli(const CliArgs& args) {
 }
 
 /// The one place CLI flags become config-timing overrides; shared by
-/// run/trace/replay (via config_from_args) and sweep (via SweepSpec).
+/// run (via config_from_args) and sweep (via SweepSpec).
 ConfigOverrides overrides_from_args(const CliArgs& args) {
   ConfigOverrides o;
   if (args.has("l2-hit")) o.l2_hit_cycles = args.get_int("l2-hit", 0);
@@ -226,45 +222,6 @@ int cmd_run(const CliArgs& args) {
   std::cout << w.name << ": " << w.params << " (" << w.dag.num_tasks()
             << " tasks, " << w.dag.total_refs() << " refs)\n";
   return report(w.dag, cfg, scheds);
-}
-
-int cmd_trace(const CliArgs& args) {
-  const std::string out = args.get_output("out", "");
-  if (out.empty()) {
-    std::cerr << "trace: --out=FILE required\n";
-    return 2;
-  }
-  CmpConfig cfg;
-  if (const int rc = config_from_args(args, &cfg)) return rc;
-  AppOptions opt;
-  opt.scale = args.get_double("scale", 0.125);
-  const std::string app = args.get("app", "mergesort");
-  if (const int rc = check_apps({app})) return rc;
-  // Fail on typos before the build, and before --out is created.
-  if (const int rc = args.check_unused()) return rc;
-  const Workload w = make_workload(app, cfg, opt);
-  save_dag(w.dag, out);
-  std::cout << "wrote " << w.dag.num_tasks() << " tasks / "
-            << w.dag.total_refs() << " refs to " << out << "\n";
-  return 0;
-}
-
-int cmd_replay(const CliArgs& args) {
-  const std::string path = args.get("dag", "");
-  if (path.empty()) {
-    std::cerr << "replay: --dag=FILE required\n";
-    return 2;
-  }
-  const std::vector<std::string> scheds = sched_list(args);
-  if (const int rc = check_scheds(scheds)) return rc;
-  CmpConfig cfg;
-  if (const int rc = config_from_args(args, &cfg)) return rc;
-  // Every flag has been queried; fail on typos before loading the DAG.
-  if (const int rc = args.check_unused()) return rc;
-  const TaskDag dag = load_dag(path);
-  std::cout << "loaded " << dag.num_tasks() << " tasks / " << dag.total_refs()
-            << " refs from " << path << "\n";
-  return report(dag, cfg, scheds);
 }
 
 /// The sweep job-matrix flags, shared verbatim by `sweep` and
@@ -503,9 +460,9 @@ int cmd_sweep_merge(const CliArgs& args) {
   return holes.empty() ? kExitOk : kExitQuarantinedHoles;
 }
 
-/// `memory`: deterministic resident-size report (no timing) for the
-/// paper-scale footprint question — peak trace-arena and task-metadata
-/// bytes of the built DAG, per workload.
+/// `memory`: deterministic size report (no timing) for the paper-scale
+/// footprint question — the trace-arena and task-metadata bytes the built
+/// DAG stores, per workload.
 int cmd_memory(const CliArgs& args) {
   const double scale = args.get_double("scale", 1.0);
   const int cores = args.get_int("cores", 8);
@@ -585,7 +542,7 @@ int cmd_configs(const CliArgs& args) {
 
 int usage() {
   std::cerr << "usage: cachesched_cli "
-               "{run|trace|replay|configs|list|sweep|"
+               "{run|configs|list|sweep|"
                "sweep merge|memory|paper} [options]\n"
                "see the header of tools/cachesched_cli.cc for options\n";
   return kExitUsage;
@@ -621,8 +578,6 @@ int main(int argc, char** argv) {
     int rc;
     if (merge) rc = cmd_sweep_merge(args);
     else if (cmd == "run") rc = cmd_run(args);
-    else if (cmd == "trace") rc = cmd_trace(args);
-    else if (cmd == "replay") rc = cmd_replay(args);
     else if (cmd == "configs") rc = cmd_configs(args);
     else if (cmd == "list") rc = cmd_list(args);
     else if (cmd == "sweep") rc = cmd_sweep(args);
