@@ -12,8 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "robust/errors.h"
-#include "robust/faultinject.h"
 #include "simarch/config.h"
 
 namespace cachesched {
@@ -324,12 +322,6 @@ bool ResultStore::load(const StoreKey& key, SweepRecord* rec) {
     os << f.rdbuf();
     text = os.str();
   }
-  // Injected torn read: observe the entry as if a concurrent crash left
-  // only a prefix — the checksum rejects it and the caller re-simulates
-  // (fail-soft, same as a real truncated file).
-  if (robust::fault_point(robust::FaultSite::kStoreReadTorn)) {
-    text.resize(text.size() / 2);
-  }
   std::string why;
   if (!parse_entry(text, key, rec, &why)) {
     std::fprintf(stderr,
@@ -348,40 +340,29 @@ bool ResultStore::load(const StoreKey& key, SweepRecord* rec) {
 namespace {
 
 /// Writes `text` to `path` and fsyncs it — the durable half of the
-/// atomic tmp+fsync+rename protocol. Failures (and the store.write.short
-/// injection site, which tears the payload in half and skips the fsync,
-/// exactly the on-disk state a power loss mid-write leaves) throw
-/// robust::TransientError; a torn temp file is left behind for the next
-/// retry/crash-recovery path to ignore, never renamed into place.
+/// atomic tmp+fsync+rename protocol. A failure throws TransientError and
+/// may leave a partial temp file behind; loads never read temp names, and
+/// it is never renamed into place.
 void write_tmp_durable(const std::string& path, const std::string& text) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
-    throw robust::TransientError("result store: cannot open " + path);
+    throw TransientError("result store: cannot open " + path);
   }
-  size_t want = text.size();
-  const bool torn =
-      robust::fault_point(robust::FaultSite::kStoreWriteShort);
-  if (torn) want /= 2;
   size_t off = 0;
-  while (off < want) {
-    const ssize_t n = ::write(fd, text.data() + off, want - off);
+  while (off < text.size()) {
+    const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
     if (n < 0) {
       ::close(fd);
-      throw robust::TransientError("result store: cannot write " + path);
+      throw TransientError("result store: cannot write " + path);
     }
     off += static_cast<size_t>(n);
   }
-  if (!torn && ::fsync(fd) != 0) {
+  if (::fsync(fd) != 0) {
     ::close(fd);
-    throw robust::TransientError("result store: fsync failed on " + path);
+    throw TransientError("result store: fsync failed on " + path);
   }
   ::close(fd);
-  if (torn) {
-    throw robust::TransientError(
-        "result store: injected short write on " + path +
-        " (torn temp file left behind)");
-  }
 }
 
 /// Makes the rename of an entry into `dir` durable. Best-effort: some
@@ -403,9 +384,9 @@ void ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
   std::error_code ec;
   fs::create_directories(final_path.parent_path(), ec);
   if (ec) {
-    throw robust::TransientError("result store: cannot create " +
-                                 final_path.parent_path().string() + ": " +
-                                 ec.message());
+    throw TransientError("result store: cannot create " +
+                         final_path.parent_path().string() + ": " +
+                         ec.message());
   }
   // Unique temp name: the (store address, sequence) pair distinguishes
   // writes within a process, and the key hex distinguishes concurrent
@@ -417,17 +398,12 @@ void ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
            << impl_->tmp_seq.fetch_add(1) << '-' << key.hex();
   const fs::path tmp_path = fs::path(dir_) / tmp_name.str();
   write_tmp_durable(tmp_path.string(), text);
-  if (robust::fault_point(robust::FaultSite::kStoreRenameFail)) {
-    fs::remove(tmp_path, ec);
-    throw robust::TransientError(
-        "result store: injected rename failure into " + final_path.string());
-  }
   fs::rename(tmp_path, final_path, ec);
   if (ec) {
     const std::string why = ec.message();
     fs::remove(tmp_path, ec);
-    throw robust::TransientError("result store: cannot rename into " +
-                                 final_path.string() + ": " + why);
+    throw TransientError("result store: cannot rename into " +
+                         final_path.string() + ": " + why);
   }
   fsync_dir(final_path.parent_path());
   std::lock_guard<std::mutex> lock(impl_->mu);

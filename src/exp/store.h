@@ -29,11 +29,9 @@
 // entry under a final name. Loads treat truncated, corrupted,
 // wrong-version and wrong-salt entries as misses (counted in
 // Stats::corrupt) and the sweep transparently re-simulates and rewrites
-// them. put() failures (real I/O errors and the robust/ injection sites
-// store.write.short / store.rename.fail) throw robust::TransientError,
-// which the sweep engine's bounded retry understands; the torn temp file
-// of a short write is left behind exactly as a crash would leave it and
-// is invisible under the final name.
+// them. A put() that fails on I/O throws TransientError, which the sweep
+// engine's bounded retry understands; a temp file that a failed write or
+// a crash leaves behind is never read and never renamed into place.
 //
 // Invalidation rule: any change that alters simulation results —
 // engine timing, scheduler behavior, workload generation — must bump
@@ -109,9 +107,9 @@ class ResultStore {
 
   /// Atomically and durably persists `rec` under `key` (temp file +
   /// fsync + rename + directory fsync; last writer wins, which is safe
-  /// because equal keys imply equal records). Throws
-  /// robust::TransientError on write/rename failure — retryable, the
-  /// entry is simply absent. Thread-safe.
+  /// because equal keys imply equal records). Throws TransientError on
+  /// write/rename failure — retryable, the entry is simply absent.
+  /// Thread-safe.
   void put(const StoreKey& key, const SweepRecord& rec);
 
   /// True if an entry file exists for `key` (no validation).

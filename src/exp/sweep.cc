@@ -15,9 +15,6 @@
 
 #include "exp/store.h"
 #include "harness/workload_registry.h"
-#include "robust/errors.h"
-#include "robust/faultinject.h"
-#include "robust/guard.h"
 #include "util/json.h"
 
 namespace cachesched {
@@ -38,12 +35,6 @@ std::vector<CmpConfig> configs_for(const SweepSpec& spec, double scale) {
 }
 
 Workload build_one(const SweepJob& job) {
-  // Injection site: workload construction is the sweep's only large
-  // allocation burst, so this is where memory pressure strikes first.
-  if (robust::fault_point(robust::FaultSite::kAllocWorkloadBuild)) {
-    throw robust::TransientError(
-        "injected workload-build allocation failure (" + job.app + ")");
-  }
   return job.factory ? job.factory(job.config, job.opt)
                      : make_workload(job.app, job.config, job.opt);
 }
@@ -93,8 +84,7 @@ WorkloadKey workload_key(const SweepJob& job) {
 
 namespace {
 
-SweepRecord run_one(const SweepJob& job, const Workload& w,
-                    const SweepOptions& options) {
+SweepRecord run_one(const SweepJob& job, const Workload& w) {
   CmpConfig cfg = job.config;
   std::string sched = job.sched;
   if (sched == kSequentialSched) {
@@ -103,13 +93,6 @@ SweepRecord run_one(const SweepJob& job, const Workload& w,
     sched = "pdf";  // one core: PDF = sequential 1DF order
   }
   CmpSimulator sim(cfg);
-  // Watchdog / cancellation / stall-fault poll: only attached when one
-  // of them can fire, so the common case keeps the engine poll disabled.
-  robust::RunGuard guard(options.job_timeout_ms, options.cancel);
-  if (options.job_timeout_ms > 0 || options.cancel ||
-      robust::faults_armed()) {
-    sim.set_run_guard(&guard);
-  }
   auto s = make_scheduler(sched);
   SweepRecord rec;
   rec.job = job;
@@ -182,28 +165,19 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
   std::vector<QuarantinedJob> quarantined;
   std::atomic<size_t> retries{0};
 
-  auto cancelled = [&options] {
-    return options.cancel && options.cancel();
-  };
-
-  // Fault-tolerance wrapper around one unit of work (a job attempt or a
-  // workload build). Returns true on success. TransientError is retried
-  // with exponential backoff up to job_retries times; exhausted
-  // transients and watchdog timeouts are recorded into *err (and return
-  // false) when quarantine is on, rethrown otherwise. Anything else —
-  // bad specs, logic errors, cancellation — propagates untouched.
+  // Retry wrapper around one unit of work (a job attempt or a workload
+  // build). Returns true on success. TransientError is retried with
+  // exponential backoff up to job_retries times; an exhausted transient
+  // is recorded into *err (and returns false) when quarantine is on,
+  // rethrown otherwise. Anything else — bad specs, logic errors —
+  // propagates untouched.
   auto try_unit = [&](auto&& fn, std::string* err) -> bool {
     for (int attempt = 0;; ++attempt) {
       try {
         fn();
         return true;
-      } catch (const robust::JobTimeoutError& e) {
-        // Deterministic: the same job would time out on every retry.
-        if (!options.quarantine) throw;
-        *err = e.what();
-        return false;
-      } catch (const robust::TransientError& e) {
-        if (attempt < options.job_retries && !cancelled()) {
+      } catch (const TransientError& e) {
+        if (attempt < options.job_retries) {
           retries.fetch_add(1, std::memory_order_relaxed);
           std::this_thread::sleep_for(std::chrono::milliseconds(
               options.retry_backoff_ms << std::min(attempt, 10)));
@@ -249,16 +223,12 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
   }
   const size_t num_pending = pending.size();
 
-  // Runs body(0..n) on the worker pool; the first exception is kept for
-  // the caller to rethrow.
+  // Runs body(0..n) on the worker pool; once the pool drains, the first
+  // exception a body threw fails the sweep.
   auto parallel_for = [&](size_t n, auto&& body) {
     std::atomic<size_t> next{0};
     auto drain = [&] {
       for (;;) {
-        // Graceful shutdown: stop claiming new work once cancellation is
-        // observed; jobs already claimed drain (their engine polls abort
-        // them promptly, and completed store puts are already durable).
-        if (cancelled()) return;
         const size_t i = next.fetch_add(1);
         if (i >= n) return;
         try {
@@ -273,12 +243,13 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
         std::min<size_t>(static_cast<size_t>(workers), std::max<size_t>(n, 1)));
     if (w <= 1) {
       drain();
-      return;
+    } else {
+      std::vector<std::thread> pool;
+      pool.reserve(w);
+      for (int t = 0; t < w; ++t) pool.emplace_back(drain);
+      for (std::thread& t : pool) t.join();
     }
-    std::vector<std::thread> pool;
-    pool.reserve(w);
-    for (int t = 0; t < w; ++t) pool.emplace_back(drain);
-    for (std::thread& t : pool) t.join();
+    if (first_error) std::rethrow_exception(first_error);
   };
 
   // Persists a freshly simulated record (when a store is attached), then
@@ -290,14 +261,6 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
     std::lock_guard<std::mutex> lock(mu);
     ++completed;
     if (options.on_result) options.on_result(records[i], completed, total);
-  };
-
-  // Rethrow policy after each phase joins: cancellation wins (the errors
-  // racing with it are InterruptedError noise from aborted jobs), then
-  // the first real error.
-  auto check_phase = [&] {
-    if (cancelled()) throw robust::SweepInterrupted(completed, total);
-    if (first_error) std::rethrow_exception(first_error);
   };
 
   // Assembles the final results: quarantined jobs (if any) are dropped
@@ -374,7 +337,6 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
       slot_failed[i] = 1;
     }
   });
-  check_phase();
 
   // Phase 2 — simulate. run_one never mutates the shared workload (the
   // engine takes const TaskDag&), so jobs of one slot are independent.
@@ -387,7 +349,7 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
       std::string err;
       const bool ok = try_unit(
           [&] {
-            records[i] = run_one(jobs[i], *built[slot], options);
+            records[i] = run_one(jobs[i], *built[slot]);
             finish(i);
           },
           &err);
@@ -395,7 +357,6 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
     }
     if (slot_jobs_left[slot].fetch_sub(1) == 1) built[slot].reset();
   });
-  check_phase();
   return finalize();
 }
 

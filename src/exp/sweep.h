@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -192,36 +193,31 @@ struct SweepOptions {
   /// built (serialized), with the spec/label of the job that built it.
   std::function<void(const std::string& app)> on_workload_built;
 
-  // Fault tolerance (src/robust/). The defaults preserve the historical
-  // fail-fast contract: no watchdog, no retries, the first error aborts
-  // the sweep.
-
-  /// Per-job wall-clock watchdog (ms); the engine polls it cooperatively
-  /// (robust/guard.h). A job that exceeds it fails with JobTimeoutError —
-  /// quarantined when `quarantine` is set (never retried: a deterministic
-  /// simulation that timed out once would time out again), fatal
-  /// otherwise. 0 = no watchdog.
-  uint64_t job_timeout_ms = 0;
-  /// Bounded retry for robust::TransientError (torn store writes, rename
-  /// failures, injected faults): each job attempt may be retried this
-  /// many times, sleeping retry_backoff_ms << attempt between tries.
-  /// Other exception types are never retried.
+  /// Bounded retry for TransientError (a store write or rename that
+  /// failed): each job attempt may be retried this many times, sleeping
+  /// retry_backoff_ms << attempt between tries. Other exception types are
+  /// never retried.
   int job_retries = 0;
   uint64_t retry_backoff_ms = 10;
-  /// Record jobs that exhaust retries (or time out) in
-  /// SweepResults::quarantined() and keep sweeping, instead of failing
-  /// the whole matrix on the first bad job.
+  /// Record jobs that exhaust their retries in SweepResults::quarantined()
+  /// and keep sweeping, instead of failing the whole matrix on the first
+  /// bad job. The default, false, is fail-fast.
   bool quarantine = false;
-  /// Cooperative cancellation (SIGINT/SIGTERM): checked before each job
-  /// and polled inside running simulations. When it reports true the
-  /// sweep stops claiming work, drains in-flight jobs (completed store
-  /// writes are already durable), and throws robust::SweepInterrupted.
-  std::function<bool()> cancel;
 };
 
-/// A job the sweep gave up on: it exhausted its transient-error retries
-/// or hit the watchdog. Recorded instead of aborting the matrix when
-/// SweepOptions::quarantine is set; its record is absent from records().
+/// An operation that may succeed if repeated: ResultStore::put throws it
+/// on a real I/O failure (the entry is then simply absent). The sweep
+/// retries it per SweepOptions::job_retries and quarantines the job once
+/// the retries are spent.
+class TransientError : public std::runtime_error {
+ public:
+  explicit TransientError(const std::string& what)
+      : std::runtime_error(what) {}
+};
+
+/// A job the sweep gave up on: it exhausted its transient-error retries.
+/// Recorded instead of aborting the matrix when SweepOptions::quarantine
+/// is set; its record is absent from records().
 struct QuarantinedJob {
   size_t index = 0;  // position in the submitted job list
   JobKey key;
@@ -282,10 +278,10 @@ class SweepResults {
 /// Runs `jobs` on a worker pool; records are in job order regardless of
 /// worker count. The first exception thrown by a job (unknown app or
 /// scheduler, bad scale, ...) is rethrown after the pool drains — except
-/// robust::TransientError (retried per job_retries, then quarantined when
-/// enabled), JobTimeoutError (quarantined when enabled), and
-/// cancellation, which surfaces as robust::SweepInterrupted after every
-/// in-flight job has drained.
+/// TransientError, which is retried per job_retries and then quarantined
+/// when enabled. A process killed mid-sweep loses only its in-flight
+/// jobs: every record already put is durable, and a rerun against the
+/// same store simulates only what is missing.
 SweepResults run_sweep(std::vector<SweepJob> jobs,
                        const SweepOptions& options = {});
 

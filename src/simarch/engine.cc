@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "robust/guard.h"
 #include "sched/central_fifo_scheduler.h"
 #include "sched/pdf_scheduler.h"
 #include "sched/ws_scheduler.h"
@@ -112,8 +111,7 @@ struct CoreState {
 // a detected violation; true takes every op in exact order (engine.h).
 template <class S>
 SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
-                   const TaskDag& dag, S& sched,
-                   const robust::RunGuard* guard) {
+                   const TaskDag& dag, S& sched) {
   const int P = cfg.cores;
   const int line_shift =
       std::countr_zero(static_cast<unsigned>(cfg.line_bytes));
@@ -455,12 +453,7 @@ SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
     start_task(i, u, 0);
   }
 
-  uint64_t guard_poll = 0;
   while (completed < dag.num_tasks()) {
-    // Watchdog/cancellation poll (robust/guard.h): an outer iteration
-    // retires at least one event, so this fires rarely relative to the
-    // per-reference hot path and costs one predictable branch unguarded.
-    if (guard != nullptr && (guard_poll++ & 63) == 0) guard->poll();
     // One scan finds the next event — the non-idle core with the smallest
     // (time, id) — and the earliest event of any other core, as a
     // branch-free two-smallest reduction over the pre-packed keys (the
@@ -525,15 +518,15 @@ CmpSimulator::CmpSimulator(const CmpConfig& config) : cfg_(config) {
 SimResult CmpSimulator::run(const TaskDag& dag, Scheduler& sched) {
   auto pass = [&](bool exact) {
     if (auto* s = dynamic_cast<PdfScheduler*>(&sched)) {
-      return simulate(cfg_, exact, collect_task_stats_, dag, *s, guard_);
+      return simulate(cfg_, exact, collect_task_stats_, dag, *s);
     }
     if (auto* s = dynamic_cast<WsScheduler*>(&sched)) {
-      return simulate(cfg_, exact, collect_task_stats_, dag, *s, guard_);
+      return simulate(cfg_, exact, collect_task_stats_, dag, *s);
     }
     if (auto* s = dynamic_cast<CentralFifoScheduler*>(&sched)) {
-      return simulate(cfg_, exact, collect_task_stats_, dag, *s, guard_);
+      return simulate(cfg_, exact, collect_task_stats_, dag, *s);
     }
-    return simulate(cfg_, exact, collect_task_stats_, dag, sched, guard_);
+    return simulate(cfg_, exact, collect_task_stats_, dag, sched);
   };
   try {
     return pass(false);

@@ -60,10 +60,6 @@
 
 namespace cachesched {
 
-namespace robust {
-class RunGuard;  // robust/guard.h
-}
-
 struct SimResult {
   std::string scheduler;
   std::string config;
@@ -131,13 +127,6 @@ class CmpSimulator {
   /// Record per-task miss/reference counts in the result.
   void set_collect_task_stats(bool v) { collect_task_stats_ = v; }
 
-  /// Cooperative watchdog/cancellation: the engine polls `guard` every
-  /// few outer event-loop iterations (robust/guard.h), so a run can be
-  /// bounded by a wall-clock budget or aborted on SIGINT/SIGTERM. The
-  /// caller owns the guard; it must outlive run(). nullptr (the default)
-  /// removes the poll entirely — the hot path is unaffected.
-  void set_run_guard(const robust::RunGuard* g) { guard_ = g; }
-
   /// run() calls on this simulator whose run-ahead broke causality and
   /// that repeated with no run-ahead (see file comment).
   uint64_t exact_reruns() const { return exact_reruns_; }
@@ -148,7 +137,6 @@ class CmpSimulator {
   CmpConfig cfg_;
   uint64_t exact_reruns_ = 0;
   bool collect_task_stats_ = false;
-  const robust::RunGuard* guard_ = nullptr;
 };
 
 }  // namespace cachesched

@@ -27,10 +27,6 @@ enum ExitCode : int {
   /// The sweep finished but some jobs were quarantined, or a merge was
   /// assembled with holes — output exists but is incomplete.
   kExitQuarantinedHoles = 3,
-  /// SIGINT/SIGTERM: the sweep shut down gracefully (completed results
-  /// durable; a --resume command line was printed). 128 + SIGINT's 2,
-  /// the shell convention.
-  kExitInterrupted = 130,
 };
 
 /// Typed getters never throw. A value that does not parse as the type

@@ -9,8 +9,6 @@
 
 #include "exp/store.h"
 #include "exp/sweep.h"
-#include "robust/errors.h"
-#include "robust/faultinject.h"
 
 namespace cachesched {
 namespace {
@@ -343,14 +341,7 @@ TEST_F(StoreTest, LoadAllWithHolesReturnsPartialMatrixAndNamesTheHoles) {
   }
 }
 
-/// Disarms fault injection on scope exit so one test's schedule can never
-/// leak into the next (or into TearDown's filesystem work).
-struct FaultGuard {
-  explicit FaultGuard(const std::string& spec) { robust::arm_faults(spec); }
-  ~FaultGuard() { robust::disarm_faults(); }
-};
-
-/// One simulated record to feed the injection tests.
+/// One simulated record and its key, to feed the put/load cases below.
 SweepRecord one_record(std::optional<StoreKey>* key) {
   SweepSpec spec = small_spec();
   spec.apps = {"matmul"};
@@ -362,69 +353,171 @@ SweepRecord one_record(std::optional<StoreKey>* key) {
   return res[0];
 }
 
-// The crash-simulation property behind the fsync+rename protocol: a torn
-// write must leave the torn bytes ONLY under a temp name — a final .rec
-// name always denotes a complete, checksummed entry.
-TEST_F(StoreTest, InjectedShortWriteLeavesTornTmpNeverAFinalEntry) {
+/// Files under `dir` whose name starts with "tmp-": put()'s temp files.
+size_t tmp_files(const fs::path& dir) {
+  size_t n = 0;
+  for (const auto& e : fs::recursive_directory_iterator(dir)) {
+    if (e.path().filename().string().rfind("tmp-", 0) == 0) ++n;
+  }
+  return n;
+}
+
+/// The fanout directory DIR/<hh> that holds `key`'s entry.
+fs::path fanout_of(const ResultStore& store, const StoreKey& key) {
+  return fs::path(store.path_for(key)).parent_path();
+}
+
+// A regular file where the fanout directory belongs is a real I/O
+// failure no permission bit can undo (tests may run as root): put()
+// throws TransientError and writes no entry, and the put lands once the
+// obstacle is gone.
+TEST_F(StoreTest, PutIntoABlockedFanoutIsTransientAndRetriable) {
   std::optional<StoreKey> key;
   const SweepRecord rec = one_record(&key);
   ASSERT_TRUE(key);
   ResultStore store(dir());
-  {
-    FaultGuard faults("store.write.short:every=1");
-    EXPECT_THROW(store.put(*key, rec), robust::TransientError);
-  }
+  write_file(fanout_of(store, *key), "not a directory");
+  EXPECT_THROW(store.put(*key, rec), TransientError);
   EXPECT_FALSE(store.contains(*key));
   EXPECT_TRUE(entry_files(dir_).empty());
-  // The torn temp file is on disk (exactly what a power loss mid-write
-  // leaves) and is ignored by loads...
-  size_t tmp_files = 0;
-  for (const auto& e : fs::recursive_directory_iterator(dir_)) {
-    if (e.is_regular_file() &&
-        e.path().filename().string().rfind("tmp-", 0) == 0) {
-      ++tmp_files;
-      EXPECT_GT(fs::file_size(e.path()), 0u) << "tear should be partial";
-    }
+  EXPECT_EQ(store.stats().puts, 0u);
+
+  fs::remove(fanout_of(store, *key));
+  store.put(*key, rec);
+  SweepRecord out;
+  ASSERT_TRUE(store.load(*key, &out));
+  EXPECT_EQ(out.result, rec.result);
+}
+
+// A directory under the entry's final name makes the rename fail after
+// the temp file is written and synced: put() throws TransientError and
+// removes its temp file, so a failed put leaves nothing behind.
+TEST_F(StoreTest, FailedRenameIsTransientAndLeavesNoTempFile) {
+  std::optional<StoreKey> key;
+  const SweepRecord rec = one_record(&key);
+  ASSERT_TRUE(key);
+  ResultStore store(dir());
+  const fs::path final_path = store.path_for(*key);
+  fs::create_directories(final_path);
+  EXPECT_THROW(store.put(*key, rec), TransientError);
+  EXPECT_EQ(tmp_files(dir_), 0u);
+  EXPECT_TRUE(fs::is_directory(final_path));
+  EXPECT_EQ(store.stats().puts, 0u);
+
+  fs::remove(final_path);
+  store.put(*key, rec);
+  EXPECT_EQ(tmp_files(dir_), 0u);
+  SweepRecord out;
+  ASSERT_TRUE(store.load(*key, &out));
+  EXPECT_EQ(out.result, rec.result);
+}
+
+// What a process killed mid-put leaves: a partial temp file and no
+// entry. Loads read final names only, so the key is a plain miss — not a
+// rejected entry — and a resumed sweep simulates and puts it.
+TEST_F(StoreTest, TornTempFileIsNeverAnEntry) {
+  std::optional<StoreKey> key;
+  const SweepRecord rec = one_record(&key);
+  ASSERT_TRUE(key);
+  {
+    // Half of a complete entry, under a temp name, and no entry.
+    ResultStore store(dir());
+    store.put(*key, rec);
+    const std::string entry = read_file(store.path_for(*key));
+    fs::remove(store.path_for(*key));
+    write_file(dir_ / ("tmp-1-0-" + key->hex()),
+               entry.substr(0, entry.size() / 2));
   }
-  EXPECT_EQ(tmp_files, 1u);
+  ASSERT_EQ(tmp_files(dir_), 1u);
+  ResultStore store(dir());
+
   SweepRecord out;
   EXPECT_FALSE(store.load(*key, &out));
-  // ...and a retry after the fault clears succeeds and round-trips.
-  store.put(*key, rec);
-  EXPECT_TRUE(store.load(*key, &out));
-  EXPECT_EQ(out.result.cycles, rec.result.cycles);
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().corrupt, 0u);
+
+  SweepSpec spec = small_spec();
+  spec.apps = {"matmul"};
+  spec.scheds = {"pdf"};
+  spec.core_counts = {2};
+  SweepOptions opt;
+  opt.workers = 1;
+  opt.store = &store;
+  const SweepResults res = run_sweep(expand(spec), opt);
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_EQ(res[0].result, rec.result);
+  EXPECT_EQ(store.stats().puts, 1u);
+  EXPECT_EQ(store.stats().corrupt, 0u);
+  ASSERT_TRUE(store.load(*key, &out));
+  EXPECT_EQ(out.result, rec.result);
 }
 
-TEST_F(StoreTest, InjectedRenameFailureIsTransientAndRetriable) {
-  std::optional<StoreKey> key;
-  const SweepRecord rec = one_record(&key);
-  ASSERT_TRUE(key);
-  ResultStore store(dir());
-  {
-    FaultGuard faults("store.rename.fail:every=1");
-    EXPECT_THROW(store.put(*key, rec), robust::TransientError);
-  }
-  EXPECT_FALSE(store.contains(*key));
-  store.put(*key, rec);
-  SweepRecord out;
-  EXPECT_TRUE(store.load(*key, &out));
-  EXPECT_EQ(out.result.cycles, rec.result.cycles);
-}
+// The failure model end to end: puts that fail on I/O exhaust their
+// retries and quarantine exactly their jobs; the store then has holes
+// that a strict merge refuses and --allow-holes names; and a resume once
+// the obstacle is gone simulates only those jobs, ending byte-identical
+// to a sweep that never failed. Two workers, so TSan sees the pool.
+TEST_F(StoreTest, FailedPutsQuarantineThenResumeFillsTheHoles) {
+  const auto jobs = expand(small_spec());
+  const SweepResults plain = run_sweep(jobs, {.workers = 1});
 
-TEST_F(StoreTest, InjectedTornReadRejectsEntryFailSoft) {
-  std::optional<StoreKey> key;
-  const SweepRecord rec = one_record(&key);
-  ASSERT_TRUE(key);
-  ResultStore store(dir());
-  store.put(*key, rec);
-  SweepRecord out;
+  fs::path blocked;
+  std::vector<size_t> blocked_jobs;
   {
-    FaultGuard faults("store.read.torrent:every=1");
-    EXPECT_FALSE(store.load(*key, &out));  // checksum rejects the prefix
+    // Block the fanout directory of job 0; every job hashed under it
+    // fails its put.
+    ResultStore store(dir());
+    blocked = fanout_of(store, *store_key(jobs[0]));
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      if (fanout_of(store, *store_key(jobs[i])) == blocked) {
+        blocked_jobs.push_back(i);
+      }
+    }
+    ASSERT_LT(blocked_jobs.size(), jobs.size());
+    write_file(blocked, "not a directory");
+    SweepOptions opt;
+    opt.workers = 2;
+    opt.job_retries = 1;
+    opt.retry_backoff_ms = 1;
+    opt.quarantine = true;
+    opt.store = &store;
+    const SweepResults res = run_sweep(jobs, opt);
+    std::vector<size_t> quarantined;
+    for (const QuarantinedJob& q : res.quarantined()) {
+      quarantined.push_back(q.index);
+      EXPECT_EQ(q.key, jobs[q.index].key());
+      EXPECT_NE(q.error.find("result store: cannot create"), std::string::npos)
+          << q.error;
+    }
+    EXPECT_EQ(quarantined, blocked_jobs);
+    EXPECT_EQ(res.retries(), blocked_jobs.size());
+    EXPECT_EQ(res.size(), jobs.size() - blocked_jobs.size());
+    EXPECT_EQ(store.stats().puts, jobs.size() - blocked_jobs.size());
   }
-  EXPECT_EQ(store.stats().corrupt, 1u);
-  EXPECT_TRUE(store.load(*key, &out));  // the entry itself is intact
-  EXPECT_EQ(out.result.cycles, rec.result.cycles);
+  {
+    ResultStore store(dir());
+    EXPECT_THROW(load_all(store, jobs), std::runtime_error);
+    std::vector<MergeHole> holes;
+    load_all(store, jobs, /*allow_holes=*/true, &holes);
+    std::vector<size_t> hole_indices;
+    for (const MergeHole& h : holes) hole_indices.push_back(h.index);
+    EXPECT_EQ(hole_indices, blocked_jobs);
+  }
+  fs::remove(blocked);
+  {
+    ResultStore store(dir());
+    SweepOptions opt;
+    opt.workers = 2;
+    opt.store = &store;
+    run_sweep(jobs, opt);
+    EXPECT_EQ(store.stats().hits, jobs.size() - blocked_jobs.size());
+    EXPECT_EQ(store.stats().puts, blocked_jobs.size());
+    EXPECT_EQ(store.stats().corrupt, 0u);
+  }
+  ResultStore store(dir());
+  const SweepResults merged = load_all(store, jobs);
+  EXPECT_EQ(merged.to_table().to_csv(), plain.to_table().to_csv());
+  EXPECT_EQ(merged.to_json(), plain.to_json());
 }
 
 TEST_F(StoreTest, SaltMarkerTracksWriterAndFlagsMismatch) {

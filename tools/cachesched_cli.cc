@@ -17,23 +17,19 @@
 //                        store, simulate + persist only the rest
 //   cachesched_cli sweep ... --store=DIR --shard=i/N  # simulate only
 //                        shard i of the matrix into the shared store
-//   cachesched_cli sweep ... [--job-timeout=MS] [--retries=N]
-//                        [--retry-backoff=MS] [--quarantine=BOOL]
-//                        [--faults=SPEC]   # fault tolerance: per-job
-//                        watchdog, bounded retry of transient errors,
-//                        quarantine instead of abort (exit 3 when jobs
-//                        were quarantined), deterministic fault injection
-//                        (grammar: src/robust/faultinject.h; also armed
-//                        by $CACHESCHED_FAULTS). SIGINT/SIGTERM shut the
-//                        sweep down gracefully: in-flight jobs drain,
-//                        completed store writes are durable, a
-//                        --resume-ready command line is printed, exit 130.
+//   cachesched_cli sweep ... [--retries=N] [--retry-backoff=MS]
+//                        [--quarantine=BOOL]  # a failed store write is
+//                        retried with backoff; a job that exhausts its
+//                        retries is reported and skipped (exit 3). A
+//                        killed sweep leaves only complete store entries;
+//                        rerun it with --resume to simulate the rest.
 //   cachesched_cli sweep merge ... --store=DIR [--csv --json]
 //                        [--allow-holes]
 //                        # reassemble the full matrix from the store, in
 //                        job order — byte-identical to an unsharded run;
 //                        missing records abort (listing the holes) unless
-//                        --allow-holes emits the partial matrix (exit 3)
+//                        --allow-holes emits the partial matrix (exit 3);
+//                        a DIR that does not exist is a usage error
 //   cachesched_cli memory [--apps=mergesort] [--scale=1.0] [--cores=8]
 //                        [--task-ws=BYTES]  # deterministic report of
 //                        the bytes a DAG stores (trace arena + task
@@ -57,11 +53,9 @@
 // error (unknown flags/subcommands, malformed flag values including an
 // output file whose directory does not exist, bad spec strings, a --tech
 // or --cores the configuration tables do not list), 3 sweep completed
-// with quarantined jobs / merge assembled with holes, 130 interrupted by
-// SIGINT/SIGTERM after a graceful drain.
+// with quarantined jobs / merge assembled with holes.
 // Errors go to stderr. Every subcommand rejects these usage errors (exit
 // 2) before it builds a workload or writes a file.
-#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -74,8 +68,6 @@
 #include "exp/sweep.h"
 #include "harness/apps.h"
 #include "harness/workload_registry.h"
-#include "robust/errors.h"
-#include "robust/faultinject.h"
 #include "sched/registry.h"
 #include "util/cli.h"
 #include "util/table.h"
@@ -88,32 +80,6 @@ int cmd_paper(const CliArgs& args);
 }  // namespace cachesched
 
 namespace {
-
-/// Set by the SIGINT/SIGTERM handler; polled by run_sweep's cancel
-/// callback so an in-flight sweep drains gracefully (completed store
-/// writes stay durable) instead of dying mid-rename.
-volatile std::sig_atomic_t g_signal = 0;
-
-extern "C" void on_shutdown_signal(int sig) { g_signal = sig; }
-
-/// The full original command line, captured in main() so an interrupted
-/// sweep can print a copy-pasteable `--resume` continuation.
-std::string g_command_line;
-
-/// Arms the per-subcommand --faults=SPEC clause set (replacing whatever
-/// $CACHESCHED_FAULTS armed in main). A bad spec is a usage error, same
-/// as a bad scheduler spec: report and exit 2 before any work runs.
-int arm_faults_from_cli(const CliArgs& args) {
-  const std::string spec = args.get("faults", "");
-  if (spec.empty()) return kExitOk;
-  try {
-    robust::arm_faults(spec);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "cachesched_cli: " << e.what() << "\n";
-    return kExitUsage;
-  }
-  return kExitOk;
-}
 
 /// The one place CLI flags become config-timing overrides; shared by
 /// run (via config_from_args) and sweep (via SweepSpec).
@@ -265,18 +231,15 @@ int cmd_sweep(const CliArgs& args) {
   SweepSpec spec = spec_from_args(args);
   if (const int rc = check_apps(spec.apps)) return rc;
   if (const int rc = check_scheds(spec.scheds)) return rc;
-  if (const int rc = arm_faults_from_cli(args)) return rc;
 
   SweepOptions opt;
   opt.workers = args.get_int("jobs", 0);
-  opt.job_timeout_ms = args.get_int<uint64_t>("job-timeout", 0);
   opt.job_retries = args.get_int("retries", 0);
   opt.retry_backoff_ms = args.get_int<uint64_t>("retry-backoff", 10);
   // The CLI is sweep-as-a-service: one bad job is reported and skipped
   // (exit 3) rather than aborting the whole matrix. The library default
   // stays fail-fast; pass --quarantine=false to get it back.
   opt.quarantine = args.get_bool("quarantine", true);
-  opt.cancel = [] { return g_signal != 0; };
   if (args.get_bool("progress", false)) {
     opt.on_result = [](const SweepRecord& r, size_t done, size_t total) {
       std::fprintf(stderr, "[%zu/%zu] %s/%s cores=%d done\n", done, total,
@@ -338,38 +301,13 @@ int cmd_sweep(const CliArgs& args) {
     }
   }
 
-  // From here on a SIGINT/SIGTERM drains in-flight jobs instead of
-  // killing the process mid-store-write.
-  std::signal(SIGINT, on_shutdown_signal);
-  std::signal(SIGTERM, on_shutdown_signal);
-
   std::cerr << "sweep: " << jobs.size() << " jobs"
             << (shard.empty() ? ""
                               : " (shard " + shard + " of " +
                                     std::to_string(full_matrix) + ")")
             << " (" << (opt.workers > 0 ? std::to_string(opt.workers) : "auto")
             << " workers)\n";
-  SweepResults res;
-  try {
-    res = run_sweep(jobs, opt);
-  } catch (const robust::SweepInterrupted& e) {
-    std::cerr << "sweep: interrupted by signal " << static_cast<int>(g_signal)
-              << " after " << e.completed() << "/" << e.total()
-              << " jobs; in-flight jobs drained\n";
-    if (store_dir.empty()) {
-      std::cerr << "sweep: completed work was NOT persisted (no --store); "
-                   "rerun with --store=DIR to make sweeps resumable\n";
-    } else {
-      std::cerr << "sweep: completed results are durable in " << store_dir
-                << "; to pick up where this run stopped:\n  "
-                << g_command_line
-                << (g_command_line.find(" --resume") == std::string::npos
-                        ? " --resume"
-                        : "")
-                << "\n";
-    }
-    return kExitInterrupted;
-  }
+  const SweepResults res = run_sweep(jobs, opt);
   if (store) {
     const ResultStore::Stats s = store->stats();
     std::cerr << "sweep: store " << store_dir << ": " << s.hits
@@ -378,8 +316,7 @@ int cmd_sweep(const CliArgs& args) {
     std::cerr << "\n";
   }
   if (res.retries() > 0) {
-    std::cerr << "sweep: " << res.retries()
-              << " job retries (transient errors masked by --retries)\n";
+    std::cerr << "sweep: " << res.retries() << " job retries\n";
   }
   if (!res.quarantined().empty()) {
     std::cerr << "sweep: " << res.quarantined().size() << " quarantined:\n";
@@ -410,7 +347,6 @@ int cmd_sweep_merge(const CliArgs& args) {
   const SweepSpec spec = spec_from_args(args);
   if (const int rc = check_apps(spec.apps)) return rc;
   if (const int rc = check_scheds(spec.scheds)) return rc;
-  if (const int rc = arm_faults_from_cli(args)) return rc;
   const std::string csv = args.get_output("csv", "");
   const std::string json = args.get_output("json", "");
   const std::string store_dir = args.get("store", "");
@@ -420,13 +356,19 @@ int cmd_sweep_merge(const CliArgs& args) {
   // works verbatim (merge only loads records, it runs nothing).
   args.get_int("jobs", 0);
   args.get_bool("progress", false);
-  args.get_int<uint64_t>("job-timeout", 0);
   args.get_int("retries", 0);
   args.get_int<uint64_t>("retry-backoff", 0);
   args.get_bool("quarantine", true);
   if (const int rc = args.check_unused()) return rc;
   if (store_dir.empty()) {
     std::cerr << "sweep merge: --store=DIR required\n";
+    return kExitUsage;
+  }
+  // Opening a store creates it; merge only reads, so a missing directory
+  // (a typo, a store never written) is reported, not created.
+  if (!std::filesystem::is_directory(store_dir)) {
+    std::cerr << "sweep merge: nothing to merge: " << store_dir
+              << " is not a directory\n";
     return kExitUsage;
   }
   std::vector<SweepJob> jobs;
@@ -553,22 +495,6 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  for (int i = 0; i < argc; ++i) {
-    if (i) g_command_line += ' ';
-    g_command_line += argv[i];
-  }
-  // $CACHESCHED_FAULTS arms fault injection for any subcommand (a
-  // per-subcommand --faults= flag replaces it). A malformed spec is a
-  // usage error, reported before any work runs.
-  try {
-    const std::string armed = robust::arm_faults_from_env();
-    if (!armed.empty()) {
-      std::cerr << "cachesched_cli: fault injection armed: " << armed << "\n";
-    }
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "cachesched_cli: $CACHESCHED_FAULTS: " << e.what() << "\n";
-    return kExitUsage;
-  }
   try {
     // `sweep merge` is the one two-word subcommand; its flags start
     // after the word "merge".

@@ -1,7 +1,7 @@
 // spec_fuzz — deterministic mutational fuzzer for the repo's spec
 // grammars (run under ASan/UBSan in CI).
 //
-//   spec_fuzz [--iters=10000] [--seed=1] [--grammars=gen,sched,fault]
+//   spec_fuzz [--iters=10000] [--seed=1] [--grammars=gen,sched]
 //
 // Every parser in the repo promises "throw std::invalid_argument with a
 // self-explanatory message, or succeed" — never crash, never throw
@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "gen/genspec.h"
-#include "robust/faultinject.h"
 #include "sched/schedspec.h"
 #include "util/cli.h"
 
@@ -148,10 +147,6 @@ void parse_sched(const std::string& input) {
   }
 }
 
-void parse_fault(const std::string& input) {
-  (void)robust::parse_fault_spec(input);
-}
-
 std::vector<Grammar> make_grammars() {
   std::vector<Grammar> gs;
   gs.push_back(
@@ -166,13 +161,6 @@ std::vector<Grammar> make_grammars() {
                 {"ws", "pdf", "seq", "ws:steal=half,victim=rand",
                  "priority:alpha=0.5,beta=0.25", "name:k=v,k2=v2"},
                 &parse_sched});
-  gs.push_back(
-      {"fault",
-       {"store.write.short", "store.write.short:every=3",
-        "engine.stall:every=5,ms=10,max=2",
-        "store.rename.fail:every=2;store.read.torrent:every=3,seed=5,max=4",
-        "alloc.workload_build:every=2;engine.stall:every=4,ms=1"},
-       &parse_fault});
   return gs;
 }
 
@@ -183,7 +171,7 @@ int main(int argc, char** argv) {
   const uint64_t iters = args.get_int<uint64_t>("iters", 10000);
   const uint64_t seed = args.get_int<uint64_t>("seed", 1);
   const std::vector<std::string> wanted =
-      args.get_list("grammars", "gen,sched,fault");
+      args.get_list("grammars", "gen,sched");
 
   std::vector<Grammar> all = make_grammars();
   std::vector<Grammar*> active;
