@@ -264,6 +264,7 @@ struct ResultStore::Impl {
   std::mutex mu;  // guards stats
   Stats stats;
   std::atomic<uint64_t> tmp_seq{0};
+  std::once_flag salt_once;  // the first put writes the SALT marker
 };
 
 ResultStore::ResultStore(std::string dir)
@@ -277,24 +278,10 @@ ResultStore::ResultStore(std::string dir)
   // SALT marker: which engine salt last wrote this directory. Entries
   // self-identify (their header carries the salt), so the marker exists
   // purely to let tooling explain a full re-simulation up front instead
-  // of rejecting entries one by one. Rewritten atomically on open;
-  // concurrent shard opens race benignly (all write the same content).
-  const fs::path salt_path = fs::path(dir_) / "SALT";
-  {
-    std::ifstream f(salt_path);
-    if (f) std::getline(f, previous_salt_);
-  }
-  if (previous_salt_ != kStoreEngineSalt) {
-    std::ostringstream tmp_name;
-    tmp_name << "SALT.tmp-" << reinterpret_cast<uintptr_t>(impl_.get());
-    const fs::path tmp_path = fs::path(dir_) / tmp_name.str();
-    std::ofstream f(tmp_path, std::ios::binary | std::ios::trunc);
-    if (f && (f << kStoreEngineSalt << '\n') && f.flush()) {
-      f.close();
-      fs::rename(tmp_path, salt_path, ec);
-    }
-    if (ec) fs::remove(tmp_path, ec);  // marker is advisory; don't fail open
-  }
+  // of rejecting entries one by one. Only put() rewrites it, so a store
+  // that is opened only to read (`sweep merge`) keeps its marker.
+  std::ifstream f(fs::path(dir_) / "SALT");
+  if (f) std::getline(f, previous_salt_);
 }
 
 std::string ResultStore::path_for(const StoreKey& key) const {
@@ -376,6 +363,23 @@ void fsync_dir(const fs::path& dir) {
   ::close(fd);
 }
 
+/// Marks `dir` as written by kStoreEngineSalt, atomically (temp file +
+/// rename); `tag` makes the temp name unique per store. Concurrent shards
+/// race benignly: all write the same content. Advisory, so a failure is
+/// ignored.
+void write_salt_marker(const fs::path& dir, const void* tag) {
+  std::ostringstream tmp_name;
+  tmp_name << "SALT.tmp-" << reinterpret_cast<uintptr_t>(tag);
+  const fs::path tmp_path = dir / tmp_name.str();
+  std::error_code ec;
+  std::ofstream f(tmp_path, std::ios::binary | std::ios::trunc);
+  if (f && (f << kStoreEngineSalt << '\n') && f.flush()) {
+    f.close();
+    fs::rename(tmp_path, dir / "SALT", ec);
+  }
+  if (ec) fs::remove(tmp_path, ec);
+}
+
 }  // namespace
 
 void ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
@@ -406,6 +410,10 @@ void ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
                          final_path.string() + ": " + why);
   }
   fsync_dir(final_path.parent_path());
+  if (previous_salt_ != kStoreEngineSalt) {
+    std::call_once(impl_->salt_once,
+                   [&] { write_salt_marker(dir_, impl_.get()); });
+  }
   std::lock_guard<std::mutex> lock(impl_->mu);
   ++impl_->stats.puts;
 }

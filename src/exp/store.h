@@ -121,9 +121,10 @@ class ResultStore {
   const std::string& dir() const { return dir_; }
 
   /// The engine salt recorded in the directory's SALT marker when this
-  /// store was opened (empty for a freshly created store). The marker is
-  /// rewritten to kStoreEngineSalt on open, so a mismatch is only
-  /// observable through this accessor — the CLI uses it to warn that
+  /// store was opened (empty for a freshly created store). The first
+  /// successful put() rewrites the marker to kStoreEngineSalt; opening
+  /// and loading leave it as it is, so a store that is only read (`sweep
+  /// merge`) keeps reporting the mismatch. The CLI uses this to warn that
   /// --resume will re-simulate everything (see salt_mismatch()).
   const std::string& previous_salt() const { return previous_salt_; }
 

@@ -165,8 +165,8 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
   std::vector<QuarantinedJob> quarantined;
   std::atomic<size_t> retries{0};
 
-  // Retry wrapper around one unit of work (a job attempt or a workload
-  // build). Returns true on success. TransientError is retried with
+  // Retry wrapper around one unit of work (a workload build or a job's
+  // store put). Returns true on success. TransientError is retried with
   // exponential backoff up to job_retries times; an exhausted transient
   // is recorded into *err (and returns false) when quarantine is on,
   // rethrown otherwise. Anything else — bad specs, logic errors —
@@ -340,20 +340,16 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
 
   // Phase 2 — simulate. run_one never mutates the shared workload (the
   // engine takes const TaskDag&), so jobs of one slot are independent.
+  // Each job simulates once; a failed put retries only the put.
   parallel_for(num_pending, [&](size_t k) {
     const size_t i = pending[k];
     const size_t slot = slot_of[k];
     if (slot_failed[slot]) {
       add_quarantine(i, slot_error[slot]);
     } else {
+      records[i] = run_one(jobs[i], *built[slot]);
       std::string err;
-      const bool ok = try_unit(
-          [&] {
-            records[i] = run_one(jobs[i], *built[slot]);
-            finish(i);
-          },
-          &err);
-      if (!ok) add_quarantine(i, err);
+      if (!try_unit([&] { finish(i); }, &err)) add_quarantine(i, err);
     }
     if (slot_jobs_left[slot].fetch_sub(1) == 1) built[slot].reset();
   });

@@ -99,7 +99,7 @@ struct SweepJob {
   std::string app;    // workload spec for make_workload (a seed app name
                       // or a src/gen spec string), or a label when
                       // `factory` is set
-  std::string sched;  // registry name, or kSequentialSched
+  std::string sched;  // scheduler spec, or kSequentialSched
   std::string tag;    // free-form label distinguishing variants of the
                       // same (app, sched, config), e.g. an ablation axis
   CmpConfig config;   // final configuration (already scaled/overridden)
@@ -194,9 +194,10 @@ struct SweepOptions {
   std::function<void(const std::string& app)> on_workload_built;
 
   /// Bounded retry for TransientError (a store write or rename that
-  /// failed): each job attempt may be retried this many times, sleeping
-  /// retry_backoff_ms << attempt between tries. Other exception types are
-  /// never retried.
+  /// failed): a job's store put, or a workload build, may be retried this
+  /// many times, sleeping retry_backoff_ms << attempt between tries; a
+  /// retried put reuses the record simulated once. Other exception types
+  /// are never retried.
   int job_retries = 0;
   uint64_t retry_backoff_ms = 10;
   /// Record jobs that exhaust their retries in SweepResults::quarantined()

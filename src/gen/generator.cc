@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "harness/workload_registry.h"
 #include "util/rng.h"
 
 namespace cachesched {
@@ -326,24 +325,5 @@ Workload build_generated(const GenSpec& spec, uint32_t line_bytes) {
   w.footprint_bytes = alloc.bytes_allocated();
   return w;
 }
-
-namespace {
-
-// Each family is addressable through the workload registry by its spec
-// string ("dnc:depth=6,fanout=4,..."), alongside the seed apps.
-[[maybe_unused]] const bool kGenFamiliesRegistered = [] {
-  for (const std::string& fam : GenSpec::family_names()) {
-    WorkloadRegistry::instance().add(
-        fam, "generated family (src/gen, see README)",
-        [fam](const std::string& params, const CmpConfig& cfg,
-              const AppOptions&) {
-          const std::string spec = params.empty() ? fam : fam + ":" + params;
-          return build_generated(GenSpec::parse(spec), cfg.line_bytes);
-        });
-  }
-  return true;
-}();
-
-}  // namespace
 
 }  // namespace cachesched

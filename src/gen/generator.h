@@ -15,7 +15,7 @@
 namespace cachesched {
 
 /// Builds the DAG family described by `spec` with `line_bytes`-sized cache
-/// lines (the workload registry passes CmpConfig::line_bytes).
+/// lines (make_workload passes CmpConfig::line_bytes).
 Workload build_generated(const GenSpec& spec, uint32_t line_bytes);
 
 }  // namespace cachesched

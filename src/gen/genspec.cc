@@ -1,12 +1,12 @@
 #include "gen/genspec.h"
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <set>
+#include <iterator>
+#include <span>
 #include <sstream>
-#include <stdexcept>
+#include <string>
+
+#include "util/spec.h"
 
 namespace cachesched {
 namespace {
@@ -19,70 +19,6 @@ constexpr uint64_t kMaxTasks = 1u << 21;
 constexpr uint64_t kMinWs = 128;
 constexpr uint64_t kMaxWs = 256ull * 1024 * 1024;
 constexpr double kMaxShare = 0.9;
-
-[[noreturn]] void fail(const std::string& spec, const std::string& what) {
-  throw std::invalid_argument("bad workload spec \"" + spec + "\": " + what);
-}
-
-uint64_t parse_u64(const std::string& spec, const std::string& key,
-                   const std::string& val, uint64_t lo, uint64_t hi,
-                   bool size_suffix) {
-  if (val.empty()) fail(spec, key + " has no value");
-  if (val[0] == '-' || val[0] == '+') {
-    // strtoull would silently wrap negatives to huge values.
-    fail(spec, key + "=" + val + " is not a valid unsigned integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long raw = std::strtoull(val.c_str(), &end, 10);
-  uint64_t v = raw;
-  if (errno == ERANGE) fail(spec, key + "=" + val + " overflows");
-  if (size_suffix && end && *end) {
-    const char suffix = *end;
-    uint64_t mult = 0;
-    if (suffix == 'K' || suffix == 'k') mult = 1024;
-    if (suffix == 'M' || suffix == 'm') mult = 1024 * 1024;
-    if (suffix == 'G' || suffix == 'g') mult = 1024ull * 1024 * 1024;
-    if (mult) {
-      if (v > UINT64_MAX / mult) fail(spec, key + "=" + val + " overflows");
-      v *= mult;
-      ++end;
-    }
-  }
-  if (!end || *end != '\0' || end == val.c_str()) {
-    fail(spec, key + "=" + val + " is not a valid " +
-                   (size_suffix ? "size (integer, optional K/M/G suffix)"
-                                : "integer"));
-  }
-  if (v < lo || v > hi) {
-    fail(spec, key + "=" + val + " out of range [" + std::to_string(lo) + ", " +
-                   std::to_string(hi) + "]");
-  }
-  return v;
-}
-
-double parse_frac(const std::string& spec, const std::string& key,
-                  const std::string& val, double lo, double hi) {
-  if (val.empty()) fail(spec, key + " has no value");
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (!end || *end != '\0' || end == val.c_str() || !std::isfinite(v)) {
-    fail(spec, key + "=" + val + " is not a valid number");
-  }
-  if (v < lo || v > hi) {
-    std::ostringstream os;
-    os << key << "=" << val << " out of range [" << lo << ", " << hi << "]";
-    fail(spec, os.str());
-  }
-  return v;
-}
-
-ReuseProfile parse_reuse(const std::string& spec, const std::string& val) {
-  if (val == "stream") return ReuseProfile::kStream;
-  if (val == "loop") return ReuseProfile::kLoop;
-  if (val == "rand") return ReuseProfile::kRandom;
-  fail(spec, "reuse=" + val + " (known: stream loop rand)");
-}
 
 /// Shortest decimal that parses back to exactly `v` (same approach as the
 /// sweep engine's scale formatting), so canonical() round-trips share/p
@@ -107,130 +43,107 @@ const char* reuse_name(ReuseProfile r) {
   return "?";
 }
 
-const std::map<std::string, GenFamily>& family_table() {
-  static const std::map<std::string, GenFamily> table = {
-      {"dnc", GenFamily::kDnc},
-      {"forkjoin", GenFamily::kForkJoin},
-      {"layered", GenFamily::kLayered},
-      {"pipeline", GenFamily::kPipeline},
-      {"stencil", GenFamily::kStencil},
-  };
-  return table;
+// Each family's own keys, then the keys every family shares. A row's
+// default is the value parse uses when the spec omits the key, except
+// `shared`: absent, the region is 8*ws (shared_bytes 0).
+constexpr SpecKey kDncKeys[] = {{"depth", "6"}, {"fanout", "2"}};
+constexpr SpecKey kForkJoinKeys[] = {{"stages", "4"}, {"width", "8"}};
+constexpr SpecKey kLayeredKeys[] = {
+    {"layers", "6"},
+    {"width", "8"},
+    {"p", "0.5"},
+};
+constexpr SpecKey kPipelineKeys[] = {{"stages", "4"}, {"items", "16"}};
+constexpr SpecKey kStencilKeys[] = {{"tiles", "8"}, {"steps", "8"}};
+constexpr SpecKey kCommonKeys[] = {
+    {"ws", "16K"},   {"share", "0"}, {"shared", "0"}, {"reuse", "stream"},
+    {"passes", "4"}, {"seed", "1"},  {"ipr", "8"},
+};
+
+struct Family {
+  const char* name;
+  GenFamily family;
+  std::span<const SpecKey> keys;
+};
+
+// Sorted by name.
+constexpr Family kFamilies[] = {
+    {"dnc", GenFamily::kDnc, kDncKeys},
+    {"forkjoin", GenFamily::kForkJoin, kForkJoinKeys},
+    {"layered", GenFamily::kLayered, kLayeredKeys},
+    {"pipeline", GenFamily::kPipeline, kPipelineKeys},
+    {"stencil", GenFamily::kStencil, kStencilKeys},
+};
+
+const Family* find_family(const std::string& name) {
+  for (const Family& f : kFamilies) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
 }
 
-/// Splits "k1=v1,k2=v2" and rejects empty params, missing '=' and
-/// duplicate keys.
-std::vector<std::pair<std::string, std::string>> split_params(
-    const std::string& spec, const std::string& params) {
-  std::vector<std::pair<std::string, std::string>> out;
-  std::set<std::string> seen;
-  std::stringstream ss(params);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) fail(spec, "empty parameter (stray comma)");
-    const size_t eq = item.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      fail(spec, "parameter \"" + item + "\" is not key=value");
-    }
-    const std::string key = item.substr(0, eq);
-    if (!seen.insert(key).second) fail(spec, "duplicate key " + key);
-    out.emplace_back(key, item.substr(eq + 1));
-  }
-  if (!params.empty() && params.back() == ',') {
-    fail(spec, "empty parameter (stray comma)");
-  }
-  return out;
+uint32_t get_u32(const SpecParams& p, const char* key, uint32_t lo,
+                 uint32_t hi) {
+  return static_cast<uint32_t>(p.get_u64(key, lo, hi));
 }
 
 }  // namespace
 
-GenSpec GenSpec::parse(const std::string& spec) {
-  const size_t colon = spec.find(':');
-  const std::string fam = spec.substr(0, colon);
-  const auto it = family_table().find(fam);
-  if (it == family_table().end()) {
+GenSpec GenSpec::parse(const std::string& text) {
+  const Spec spec = Spec::parse(text, "workload");
+  const Family* fam = find_family(spec.name);
+  if (!fam) {
     std::ostringstream os;
-    os << "unknown family \"" << fam << "\" (known:";
-    for (const auto& [name, _] : family_table()) os << " " << name;
+    os << "unknown family \"" << spec.name << "\" (known:";
+    for (const Family& f : kFamilies) os << " " << f.name;
     os << ")";
-    fail(spec, os.str());
+    spec.fail(os.str());
   }
+  std::vector<SpecKey> keys(fam->keys.begin(), fam->keys.end());
+  keys.insert(keys.end(), std::begin(kCommonKeys), std::end(kCommonKeys));
+  const SpecParams p(spec, keys);
+
   GenSpec s;
-  s.family = it->second;
-
-  // Which family-specific keys apply; common keys always do.
-  const std::set<std::string> keys = [&]() -> std::set<std::string> {
-    switch (s.family) {
-      case GenFamily::kDnc: return {"depth", "fanout"};
-      case GenFamily::kForkJoin: return {"stages", "width"};
-      case GenFamily::kLayered: return {"layers", "width", "p"};
-      case GenFamily::kPipeline: return {"stages", "items"};
-      case GenFamily::kStencil: return {"tiles", "steps"};
-    }
-    return {};
-  }();
-
-  const std::string params =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  for (const auto& [key, val] : split_params(spec, params)) {
-    if (key == "ws") {
-      s.ws_bytes = parse_u64(spec, key, val, kMinWs, kMaxWs, true);
-    } else if (key == "share") {
-      s.share = parse_frac(spec, key, val, 0.0, kMaxShare);
-    } else if (key == "shared") {
-      s.shared_bytes = parse_u64(spec, key, val, kMinWs, kMaxWs, true);
-    } else if (key == "reuse") {
-      s.reuse = parse_reuse(spec, val);
-    } else if (key == "passes") {
-      s.passes = static_cast<uint32_t>(parse_u64(spec, key, val, 1, 64, false));
-    } else if (key == "seed") {
-      s.seed = parse_u64(spec, key, val, 0, UINT64_MAX, false);
-    } else if (key == "ipr") {
-      s.instr_per_ref =
-          static_cast<uint32_t>(parse_u64(spec, key, val, 1, 10000, false));
-    } else if (keys.count(key)) {
-      if (key == "depth") {
-        s.depth =
-            static_cast<uint32_t>(parse_u64(spec, key, val, 1, 20, false));
-      } else if (key == "fanout") {
-        s.fanout =
-            static_cast<uint32_t>(parse_u64(spec, key, val, 2, 16, false));
-      } else if (key == "stages") {
-        s.stages =
-            static_cast<uint32_t>(parse_u64(spec, key, val, 1, 1024, false));
-      } else if (key == "width") {
-        s.width =
-            static_cast<uint32_t>(parse_u64(spec, key, val, 1, 4096, false));
-      } else if (key == "layers") {
-        s.layers =
-            static_cast<uint32_t>(parse_u64(spec, key, val, 2, 1024, false));
-      } else if (key == "p") {
-        s.edge_prob = parse_frac(spec, key, val, 0.0, 1.0);
-        if (s.edge_prob == 0.0) fail(spec, "p must be > 0");
-      } else if (key == "items") {
-        s.items =
-            static_cast<uint32_t>(parse_u64(spec, key, val, 1, 4096, false));
-      } else if (key == "tiles") {
-        s.tiles =
-            static_cast<uint32_t>(parse_u64(spec, key, val, 2, 1024, false));
-      } else if (key == "steps") {
-        s.steps =
-            static_cast<uint32_t>(parse_u64(spec, key, val, 1, 1024, false));
-      }
-    } else {
-      std::ostringstream os;
-      os << "unknown key \"" << key << "\" for family " << fam
-         << " (family keys:";
-      for (const auto& k : keys) os << " " << k;
-      os << "; common: ws share shared reuse passes seed ipr)";
-      fail(spec, os.str());
-    }
+  s.family = fam->family;
+  s.ws_bytes = p.get_u64("ws", kMinWs, kMaxWs, /*size=*/true);
+  s.share = p.get_frac("share", 0.0, kMaxShare);
+  if (p.has("shared")) {
+    s.shared_bytes = p.get_u64("shared", kMinWs, kMaxWs, /*size=*/true);
+  }
+  s.reuse = static_cast<ReuseProfile>(
+      p.get_choice("reuse", {"stream", "loop", "rand"}));
+  s.passes = get_u32(p, "passes", 1, 64);
+  s.seed = p.get_u64("seed", 0, UINT64_MAX);
+  s.instr_per_ref = get_u32(p, "ipr", 1, 10000);
+  switch (s.family) {
+    case GenFamily::kDnc:
+      s.depth = get_u32(p, "depth", 1, 20);
+      s.fanout = get_u32(p, "fanout", 2, 16);
+      break;
+    case GenFamily::kForkJoin:
+      s.stages = get_u32(p, "stages", 1, 1024);
+      s.width = get_u32(p, "width", 1, 4096);
+      break;
+    case GenFamily::kLayered:
+      s.layers = get_u32(p, "layers", 2, 1024);
+      s.width = get_u32(p, "width", 1, 4096);
+      s.edge_prob = p.get_frac("p", 0.0, 1.0);
+      if (s.edge_prob == 0.0) spec.fail("p must be > 0");
+      break;
+    case GenFamily::kPipeline:
+      s.stages = get_u32(p, "stages", 1, 1024);
+      s.items = get_u32(p, "items", 1, 4096);
+      break;
+    case GenFamily::kStencil:
+      s.tiles = get_u32(p, "tiles", 2, 1024);
+      s.steps = get_u32(p, "steps", 1, 1024);
+      break;
   }
 
   const uint64_t tasks = s.num_tasks();
   if (tasks > kMaxTasks) {
-    fail(spec, "expands to " + std::to_string(tasks) + " tasks (cap " +
-                   std::to_string(kMaxTasks) + ")");
+    spec.fail("expands to " + std::to_string(tasks) + " tasks (cap " +
+              std::to_string(kMaxTasks) + ")");
   }
   if (s.family == GenFamily::kDnc) {
     // The root combine sweeps every leaf region; keep its reference count
@@ -239,8 +152,8 @@ GenSpec GenSpec::parse(const std::string& spec) {
     for (uint32_t d = 0; d < s.depth; ++d) leaves *= s.fanout;
     const uint64_t root_lines = leaves * (s.ws_bytes / 64 + 1);
     if (root_lines > (1u << 27)) {
-      fail(spec, "root combine would sweep " + std::to_string(root_lines) +
-                     " lines; reduce depth/fanout/ws");
+      spec.fail("root combine would sweep " + std::to_string(root_lines) +
+                " lines; reduce depth/fanout/ws");
     }
   }
   return s;
@@ -273,17 +186,17 @@ uint64_t GenSpec::num_tasks() const {
 
 std::vector<std::string> GenSpec::family_names() {
   std::vector<std::string> out;
-  for (const auto& [name, _] : family_table()) out.push_back(name);
-  return out;  // std::map iteration is already sorted
+  for (const Family& f : kFamilies) out.push_back(f.name);
+  return out;
 }
 
 bool GenSpec::is_family(const std::string& name) {
-  return family_table().count(name) > 0;
+  return find_family(name) != nullptr;
 }
 
 std::string GenSpec::family_name() const {
-  for (const auto& [name, fam] : family_table()) {
-    if (fam == family) return name;
+  for (const Family& f : kFamilies) {
+    if (f.family == family) return f.name;
   }
   return "?";
 }

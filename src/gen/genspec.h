@@ -6,7 +6,7 @@
 //   e.g. "dnc:depth=12,fanout=4,ws=64K,share=0.3,seed=7"
 //
 // naming one of five parameterized DAG families plus its knobs. Specs are
-// the workload-registry names of the generator subsystem: anywhere a seed
+// the make_workload names of the generator subsystem: anywhere a seed
 // app name is accepted (sweep --apps, cachesched_cli run, perfbench)
 // a spec string works too, so the paper's experiments extend to an
 // unbounded scenario space instead of the seven hand-written benchmarks.
@@ -30,14 +30,16 @@
 //
 // Common knobs (all families): ws (per-task working-set bytes, K/M/G
 // suffixes), share (fraction of refs into one global shared region),
-// shared (that region's size; 0 = 8*ws), reuse (stream|loop|rand),
-// passes (region revisits for loop/rand), seed, ipr (instructions per
-// reference).
+// shared (that region's size; 8*ws when absent), reuse
+// (stream|loop|rand), passes (region revisits for loop/rand), seed, ipr
+// (instructions per reference). Every key's default is its row in
+// genspec.cc.
 //
-// Parsing is strict: unknown families/keys, malformed or out-of-range
-// values, duplicate keys and specs that would expand into absurd task
-// counts are all rejected with a descriptive std::invalid_argument —
-// never silently defaulted (experiment scripts must fail loudly).
+// Parsing is strict (the grammar of util/spec.h): unknown families/keys,
+// malformed or out-of-range values, duplicate keys and specs that would
+// expand into absurd task counts are all rejected with a descriptive
+// std::invalid_argument — never silently defaulted (experiment scripts
+// must fail loudly).
 #pragma once
 
 #include <cstdint>
@@ -64,29 +66,30 @@ struct GenSpec {
   GenFamily family = GenFamily::kDnc;
 
   // Common knobs.
-  uint64_t ws_bytes = 16 * 1024;  // per-task private working set
-  double share = 0.0;             // fraction of refs to the shared region
-  uint64_t shared_bytes = 0;      // shared-region size; 0 = 8 * ws
+  uint64_t ws_bytes = 0;      // per-task private working set
+  double share = 0.0;         // fraction of refs to the shared region
+  uint64_t shared_bytes = 0;  // shared-region size; 0 = 8 * ws
   ReuseProfile reuse = ReuseProfile::kStream;
-  uint32_t passes = 4;            // loop/rand region revisits
-  uint64_t seed = 1;
-  uint32_t instr_per_ref = 8;
+  uint32_t passes = 0;        // loop/rand region revisits
+  uint64_t seed = 0;
+  uint32_t instr_per_ref = 0;
 
+  // Family knobs: parse sets the family's own, from its rows.
   // dnc
-  uint32_t depth = 6;
-  uint32_t fanout = 2;
+  uint32_t depth = 0;
+  uint32_t fanout = 0;
   // forkjoin / pipeline
-  uint32_t stages = 4;
+  uint32_t stages = 0;
   // forkjoin / layered
-  uint32_t width = 8;
+  uint32_t width = 0;
   // layered
-  uint32_t layers = 6;
-  double edge_prob = 0.5;
+  uint32_t layers = 0;
+  double edge_prob = 0.0;
   // pipeline
-  uint32_t items = 16;
+  uint32_t items = 0;
   // stencil
-  uint32_t tiles = 8;
-  uint32_t steps = 8;
+  uint32_t tiles = 0;
+  uint32_t steps = 0;
 
   /// Parses `spec` ("family" or "family:k=v,..."). Throws
   /// std::invalid_argument with a self-explanatory message on any unknown
@@ -94,8 +97,8 @@ struct GenSpec {
   /// a parameter combination whose task count exceeds the build cap.
   static GenSpec parse(const std::string& spec);
 
-  /// Family names accepted by parse, sorted (the generated side of the
-  /// workload registry).
+  /// Family names accepted by parse, sorted (the generated side of
+  /// make_workload).
   static std::vector<std::string> family_names();
 
   /// True if `name` (the part of a workload spec before ':') is a

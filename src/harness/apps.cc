@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "harness/workload_registry.h"
 #include "workloads/cholesky.h"
 #include "workloads/hashjoin.h"
 #include "workloads/heat.h"
@@ -19,26 +18,6 @@ namespace {
 uint64_t pow2_floor(uint64_t v) {
   return std::bit_floor(std::max<uint64_t>(v, 1));
 }
-
-// Every seed app is resolvable through the workload registry, so the
-// sweep engine, perfbench and CLI treat paper apps and generated specs
-// (src/gen/) uniformly. Seed apps take no spec parameters.
-[[maybe_unused]] const bool kSeedAppsRegistered = [] {
-  for (const std::string& name : known_apps()) {
-    WorkloadRegistry::instance().add(
-        name, "seed app",
-        [name](const std::string& params, const CmpConfig& cfg,
-               const AppOptions& opt) {
-          if (!params.empty()) {
-            throw std::invalid_argument("workload \"" + name +
-                                        "\" takes no spec parameters (got \"" +
-                                        params + "\")");
-          }
-          return make_app(name, cfg, opt);
-        });
-  }
-  return true;
-}();
 
 }  // namespace
 

@@ -32,18 +32,17 @@ struct AppOptions {
   uint64_t seed = 42;
 };
 
-/// Known apps: mergesort, hashjoin, lu, matmul, quicksort, heat.
-/// Seed apps are also registered in the workload registry
-/// (harness/workload_registry.h), whose make_workload additionally
-/// resolves synthetic src/gen specs; new code should prefer it.
+/// Known apps: mergesort, hashjoin, lu, matmul, quicksort, heat,
+/// cholesky. make_workload (harness/workload_registry.h) resolves these
+/// and the synthetic src/gen specs alike; new code should prefer it.
 Workload make_app(const std::string& name, const CmpConfig& cfg,
                   const AppOptions& opt);
 
 std::vector<std::string> known_apps();
 
-// Schedulers ("pdf", "ws", "fifo", plus anything else registered) are
-// constructed by name via make_scheduler from sched/registry.h, included
-// above so existing callers keep working.
+// Schedulers ("pdf", "ws", "fifo", ...) are constructed by spec via
+// make_scheduler from sched/registry.h, included above so existing
+// callers keep working.
 
 /// Runs `w` on `cfg` under scheduler `sched`.
 SimResult simulate_app(const Workload& w, const CmpConfig& cfg,

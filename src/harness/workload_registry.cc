@@ -1,111 +1,43 @@
 #include "harness/workload_registry.h"
 
-#include <map>
-#include <mutex>
+#include <algorithm>
+#include <optional>
 #include <sstream>
-#include <stdexcept>
+
+#include "gen/generator.h"
+#include "util/spec.h"
 
 namespace cachesched {
+namespace {
 
-struct WorkloadRegistry::Impl {
-  mutable std::mutex mu;
-  std::map<std::string, std::pair<std::string, WorkloadBuilder>> builders;
-};
-
-WorkloadRegistry& WorkloadRegistry::instance() {
-  static WorkloadRegistry r;
-  return r;
-}
-
-WorkloadRegistry::Impl& WorkloadRegistry::impl() const {
-  // Meyers singleton so registrations from static initializers in other
-  // translation units are safe regardless of initialization order.
-  static Impl i;
-  return i;
-}
-
-void WorkloadRegistry::add(const std::string& name, const std::string& kind,
-                           WorkloadBuilder builder) {
-  if (name.empty() || !builder) {
-    throw std::invalid_argument(
-        "workload registration needs a name and a builder");
+/// The generator spec `text` names, or nullopt for a seed app.
+std::optional<GenSpec> parse_workload(const std::string& text) {
+  const Spec spec = Spec::parse(text, "workload");
+  const std::vector<std::string> apps = known_apps();
+  if (std::find(apps.begin(), apps.end(), spec.name) != apps.end()) {
+    SpecParams(spec, {});  // seed apps take no params
+    return std::nullopt;
   }
-  if (name.find(':') != std::string::npos ||
-      name.find(',') != std::string::npos ||
-      name.find('=') != std::string::npos) {
-    throw std::invalid_argument(
-        "workload name must not contain ':', ',' or '=': " + name);
-  }
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  if (!i.builders.emplace(name, std::make_pair(kind, std::move(builder)))
-           .second) {
-    throw std::invalid_argument("duplicate workload registration: " + name);
-  }
+  if (GenSpec::is_family(spec.name)) return GenSpec::parse(text);
+  spec.fail_unknown(known_workloads());
 }
 
-Workload WorkloadRegistry::make(const std::string& spec, const CmpConfig& cfg,
-                                const AppOptions& opt) const {
-  const size_t colon = spec.find(':');
-  const std::string name = spec.substr(0, colon);
-  const std::string params =
-      colon == std::string::npos ? "" : spec.substr(colon + 1);
-  WorkloadBuilder builder;
-  {
-    Impl& i = impl();
-    std::lock_guard<std::mutex> lock(i.mu);
-    auto it = i.builders.find(name);
-    if (it != i.builders.end()) builder = it->second.second;
-  }
-  if (!builder) {
-    std::ostringstream os;
-    os << "unknown workload: " << name << " (known:";
-    for (const auto& n : names()) os << " " << n;
-    os << ")";
-    throw std::invalid_argument(os.str());
-  }
-  return builder(params, cfg, opt);
-}
-
-bool WorkloadRegistry::contains(const std::string& spec) const {
-  const std::string name = spec.substr(0, spec.find(':'));
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  return i.builders.count(name) > 0;
-}
-
-std::vector<std::string> WorkloadRegistry::names() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  std::vector<std::string> out;
-  out.reserve(i.builders.size());
-  for (const auto& [name, _] : i.builders) out.push_back(name);
-  return out;  // std::map iteration is already sorted
-}
-
-std::vector<std::pair<std::string, std::string>> WorkloadRegistry::entries()
-    const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(i.builders.size());
-  for (const auto& [name, v] : i.builders) out.emplace_back(name, v.first);
-  return out;
-}
-
-WorkloadRegistrar::WorkloadRegistrar(const std::string& name,
-                                     const std::string& kind,
-                                     WorkloadBuilder builder) {
-  WorkloadRegistry::instance().add(name, kind, std::move(builder));
-}
+}  // namespace
 
 Workload make_workload(const std::string& spec, const CmpConfig& cfg,
                        const AppOptions& opt) {
-  return WorkloadRegistry::instance().make(spec, cfg, opt);
+  const std::optional<GenSpec> gen = parse_workload(spec);
+  return gen ? build_generated(*gen, cfg.line_bytes)
+             : make_app(spec, cfg, opt);
 }
 
+void check_workload(const std::string& spec) { (void)parse_workload(spec); }
+
 std::vector<std::string> known_workloads() {
-  return WorkloadRegistry::instance().names();
+  std::vector<std::string> out = known_apps();
+  for (const std::string& fam : GenSpec::family_names()) out.push_back(fam);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<std::string> split_workload_list(const std::string& list) {

@@ -1,9 +1,6 @@
 #include "sched/affinity_scheduler.h"
 
 #include <algorithm>
-#include <memory>
-
-#include "sched/registry.h"
 
 namespace cachesched {
 
@@ -35,21 +32,5 @@ int AffinityScheduler::pick_victim(int core) {
   }
   return -1;
 }
-
-namespace {
-
-std::unique_ptr<Scheduler> make_aff(const SchedSpec& spec) {
-  SchedParams p(spec, {"steal"});
-  AffinityScheduler::Options opt;
-  opt.steal = static_cast<StealingSchedulerBase::Steal>(
-      p.get_choice("steal", 0, {"one", "half"}));
-  return std::make_unique<AffinityScheduler>(opt, spec.str());
-}
-
-}  // namespace
-
-CACHESCHED_REGISTER_SCHEDULER_SPEC(
-    "aff", aff, make_aff,
-    {{"steal", "one", "tasks per steal: one or half (bottom ceil(n/2))"}})
 
 }  // namespace cachesched

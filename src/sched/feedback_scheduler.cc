@@ -1,10 +1,8 @@
 #include "sched/feedback_scheduler.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "profile/ws_profiler.h"
-#include "sched/registry.h"
 
 namespace cachesched {
 
@@ -42,20 +40,5 @@ void FeedbackScheduler::on_complete(int core, TaskId t) {
   live_bytes_ -= task_ws_[t];
   --running_;
 }
-
-namespace {
-
-std::unique_ptr<Scheduler> make_cfb(const SchedSpec& spec) {
-  SchedParams p(spec, {"budget"});
-  FeedbackScheduler::Options opt;
-  opt.budget = p.get_frac("budget", 1.0, 0.001, 64.0);
-  return std::make_unique<FeedbackScheduler>(opt, spec.str());
-}
-
-}  // namespace
-
-CACHESCHED_REGISTER_SCHEDULER_SPEC(
-    "cfb", cfb, make_cfb,
-    {{"budget", "1.0", "live working-set cap as a fraction of L2 bytes"}})
 
 }  // namespace cachesched

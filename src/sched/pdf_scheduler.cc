@@ -1,10 +1,6 @@
 #include "sched/pdf_scheduler.h"
 
-#include "sched/registry.h"
-
 namespace cachesched {
-
-CACHESCHED_REGISTER_SCHEDULER("pdf", PdfScheduler)
 
 void PdfScheduler::reset(const TaskDag& dag, const SchedContext& ctx) {
   (void)dag;

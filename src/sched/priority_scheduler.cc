@@ -1,9 +1,6 @@
 #include "sched/priority_scheduler.h"
 
 #include <algorithm>
-#include <memory>
-
-#include "sched/registry.h"
 
 namespace cachesched {
 
@@ -53,24 +50,5 @@ TaskId PriorityScheduler::acquire(int core) {
   heap_.pop();
   return t;
 }
-
-namespace {
-
-std::unique_ptr<Scheduler> make_prio(const SchedSpec& spec) {
-  SchedParams p(spec, {"key", "order"});
-  PriorityScheduler::Options opt;
-  opt.key = static_cast<PriorityScheduler::Key>(
-      p.get_choice("key", 0, {"id", "depth", "work", "ws"}));
-  opt.order = static_cast<PriorityScheduler::Order>(
-      p.get_choice("order", 0, {"min", "max"}));
-  return std::make_unique<PriorityScheduler>(opt, spec.str());
-}
-
-}  // namespace
-
-CACHESCHED_REGISTER_SCHEDULER_SPEC(
-    "prio", prio, make_prio,
-    {{"key", "id", "task key: id (1DF), depth, work, ws (group param)"},
-     {"order", "min", "extremum handed out first: min or max"}})
 
 }  // namespace cachesched

@@ -1,119 +1,122 @@
 #include "sched/registry.h"
 
-#include <map>
-#include <mutex>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 
-#include "util/cli.h"
+#include "sched/affinity_scheduler.h"
+#include "sched/central_fifo_scheduler.h"
+#include "sched/feedback_scheduler.h"
+#include "sched/pdf_scheduler.h"
+#include "sched/priority_scheduler.h"
+#include "sched/ws_scheduler.h"
 
 namespace cachesched {
+namespace {
 
-struct SchedulerRegistry::Impl {
-  struct Entry {
-    SchedulerFactory factory;
-    std::vector<SchedParamDoc> params;
-  };
-  mutable std::mutex mu;
-  std::map<std::string, Entry> entries;
+using Steal = StealingSchedulerBase::Steal;
+
+// A family's rows: the keys `list` prints, in order, with the defaults
+// its builder reads.
+constexpr SpecKey kAffKeys[] = {
+    {"steal", "one", "tasks per steal: one or half (bottom ceil(n/2))"},
+};
+constexpr SpecKey kCfbKeys[] = {
+    {"budget", "1.0", "live working-set cap as a fraction of L2 bytes"},
+};
+constexpr SpecKey kPrioKeys[] = {
+    {"key", "id", "task key: id (1DF), depth, work, ws (group param)"},
+    {"order", "min", "extremum handed out first: min or max"},
+};
+constexpr SpecKey kWsKeys[] = {
+    {"victims", "seq", "victim order: seq (ring scan from self+1) or rand"},
+    kAffKeys[0],  // steal
+    {"seed", "1", "per-core PRNG seed (victims=rand only)"},
 };
 
-SchedulerRegistry& SchedulerRegistry::instance() {
-  static SchedulerRegistry r;
-  return r;
+using Made = std::unique_ptr<Scheduler>;
+
+Steal get_steal(const SpecParams& p) {
+  return static_cast<Steal>(p.get_choice("steal", {"one", "half"}));
 }
 
-SchedulerRegistry::Impl& SchedulerRegistry::impl() const {
-  // Meyers singleton so registrations from static initializers in other
-  // translation units are safe regardless of initialization order.
-  static Impl i;
-  return i;
+Made make_aff(const SpecParams& p, const std::string& label) {
+  return std::make_unique<AffinityScheduler>(
+      AffinityScheduler::Options{get_steal(p)}, label);
 }
 
-void SchedulerRegistry::add(const std::string& name, SchedulerFactory factory,
-                            std::vector<SchedParamDoc> params) {
-  if (name.empty() || !factory) {
-    throw std::invalid_argument(
-        "scheduler registration needs a name and a factory");
+Made make_cfb(const SpecParams& p, const std::string& label) {
+  return std::make_unique<FeedbackScheduler>(
+      FeedbackScheduler::Options{p.get_frac("budget", 0.001, 64.0)}, label);
+}
+
+Made make_fifo(const SpecParams&, const std::string&) {
+  return std::make_unique<CentralFifoScheduler>();
+}
+
+Made make_pdf(const SpecParams&, const std::string&) {
+  return std::make_unique<PdfScheduler>();
+}
+
+Made make_prio(const SpecParams& p, const std::string& label) {
+  PriorityScheduler::Options opt;
+  opt.key = static_cast<PriorityScheduler::Key>(
+      p.get_choice("key", {"id", "depth", "work", "ws"}));
+  opt.order = static_cast<PriorityScheduler::Order>(
+      p.get_choice("order", {"min", "max"}));
+  return std::make_unique<PriorityScheduler>(opt, label);
+}
+
+Made make_ws(const SpecParams& p, const std::string& label) {
+  WsScheduler::Options opt;
+  opt.victims = static_cast<WsScheduler::Victims>(
+      p.get_choice("victims", {"seq", "rand"}));
+  opt.steal = get_steal(p);
+  opt.seed = p.get_u64("seed", 0, std::numeric_limits<uint64_t>::max());
+  return std::make_unique<WsScheduler>(opt, label);
+}
+
+/// One scheduler family: `build` makes it from its parsed parameters;
+/// `label` is the spec as given, the name() a parameterized family
+/// reports.
+struct Family {
+  const char* name;
+  std::span<const SpecKey> keys;
+  Made (*build)(const SpecParams& p, const std::string& label);
+};
+
+// Sorted by name.
+constexpr Family kFamilies[] = {
+    {"aff", kAffKeys, make_aff},    {"cfb", kCfbKeys, make_cfb},
+    {"fifo", {}, make_fifo},        {"pdf", {}, make_pdf},
+    {"prio", kPrioKeys, make_prio}, {"ws", kWsKeys, make_ws},
+};
+
+const Family* find_family(const std::string& name) {
+  for (const Family& f : kFamilies) {
+    if (name == f.name) return &f;
   }
-  if (name.find(':') != std::string::npos ||
-      name.find(',') != std::string::npos) {
-    // ':' starts the parameter section and ',' separates parameters, so
-    // neither can appear in a registered name.
-    throw std::invalid_argument("scheduler name \"" + name +
-                                "\" may not contain ':' or ','");
-  }
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  if (!i.entries
-           .emplace(name, Impl::Entry{std::move(factory), std::move(params)})
-           .second) {
-    throw std::invalid_argument("duplicate scheduler registration: " + name);
-  }
+  return nullptr;
 }
 
-std::unique_ptr<Scheduler> SchedulerRegistry::make(
-    const std::string& spec_string) const {
-  const SchedSpec spec = SchedSpec::parse(spec_string);
-  SchedulerFactory factory;
-  {
-    Impl& i = impl();
-    std::lock_guard<std::mutex> lock(i.mu);
-    auto it = i.entries.find(spec.name);
-    if (it != i.entries.end()) factory = it->second.factory;
-  }
-  if (!factory) {
-    const std::vector<std::string> known = names();
-    std::ostringstream os;
-    os << "unknown scheduler: " << spec.name << " (known:";
-    for (const auto& n : known) os << " " << n;
-    os << ")";
-    const std::string near = nearest_flag(spec.name, known);
-    if (!near.empty()) os << " — did you mean " << near << "?";
-    throw std::invalid_argument(os.str());
-  }
-  return factory(spec);
-}
+}  // namespace
 
-bool SchedulerRegistry::contains(const std::string& name) const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  return i.entries.count(name) > 0;
-}
-
-std::vector<std::string> SchedulerRegistry::names() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  std::vector<std::string> out;
-  out.reserve(i.entries.size());
-  for (const auto& [name, _] : i.entries) out.push_back(name);
-  return out;  // std::map iteration is already sorted
-}
-
-std::vector<SchedParamDoc> SchedulerRegistry::params(
-    const std::string& name) const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  auto it = i.entries.find(name);
-  if (it == i.entries.end()) {
-    throw std::invalid_argument("unknown scheduler: " + name);
-  }
-  return it->second.params;
-}
-
-SchedulerRegistrar::SchedulerRegistrar(const std::string& name,
-                                       SchedulerFactory factory,
-                                       std::vector<SchedParamDoc> params) {
-  SchedulerRegistry::instance().add(name, std::move(factory),
-                                    std::move(params));
-}
-
-std::unique_ptr<Scheduler> make_scheduler(const std::string& spec) {
-  return SchedulerRegistry::instance().make(spec);
+std::unique_ptr<Scheduler> make_scheduler(const std::string& text) {
+  const Spec spec = Spec::parse(text, "scheduler");
+  const Family* fam = find_family(spec.name);
+  if (!fam) spec.fail_unknown(known_schedulers());
+  return fam->build(SpecParams(spec, fam->keys), text);
 }
 
 std::vector<std::string> known_schedulers() {
-  return SchedulerRegistry::instance().names();
+  std::vector<std::string> out;
+  for (const Family& f : kFamilies) out.push_back(f.name);
+  return out;
+}
+
+std::span<const SpecKey> scheduler_keys(const std::string& name) {
+  const Family* fam = find_family(name);
+  if (!fam) throw std::invalid_argument("unknown scheduler: " + name);
+  return fam->keys;
 }
 
 }  // namespace cachesched

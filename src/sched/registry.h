@@ -1,108 +1,36 @@
-// Scheduler registry: schedulers are constructed by spec string through a
-// process-wide factory table, so the CLI, the sweep engine (src/exp) and
-// the tests stay decoupled from the concrete scheduler headers. A spec is
-// either a bare registered name ("pdf") or a parameterized form
-// ("ws:victims=rand,steal=half,seed=7" — grammar in sched/schedspec.h);
-// the registry parses the spec, dispatches on the name and hands the
-// parsed parameters to the scheduler's factory, which validates them
-// strictly. Each scheduler's .cc self-registers with
-// CACHESCHED_REGISTER_SCHEDULER (parameterless policies) or
-// CACHESCHED_REGISTER_SCHEDULER_SPEC (parameterized families, which also
-// declare their accepted keys/defaults for `cachesched_cli list`); the
-// library is linked as a CMake OBJECT library so no registration is
-// dropped by static-archive dead stripping.
+// Scheduler table: every scheduler is made from a spec string, so the
+// CLI, the sweep engine (src/exp) and the tests stay decoupled from the
+// concrete scheduler headers. A spec is a bare family name ("pdf") or a
+// parameterized form ("ws:victims=rand,steal=half,seed=7"; grammar in
+// util/spec.h). registry.cc holds one constant row per family: its name,
+// its accepted keys with their defaults and docs (`cachesched_cli list`
+// prints them, and the builder reads its defaults from them), and a
+// builder from the parsed parameters. Adding a scheduler is one class
+// plus one row.
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/scheduler.h"
-#include "sched/schedspec.h"
+#include "util/spec.h"
 
 namespace cachesched {
 
-using SchedulerFactory =
-    std::function<std::unique_ptr<Scheduler>(const SchedSpec&)>;
-
-/// One accepted parameter of a scheduler family, for discoverability
-/// (`cachesched_cli list` prints these): the key, its default value and a
-/// one-phrase description.
-struct SchedParamDoc {
-  std::string key;
-  std::string def;
-  std::string doc;
-};
-
-class SchedulerRegistry {
- public:
-  /// The process-wide registry.
-  static SchedulerRegistry& instance();
-
-  /// Registers `factory` under `name` with its accepted-parameter table;
-  /// throws std::invalid_argument if the name is already taken (duplicate
-  /// registrations are always bugs).
-  void add(const std::string& name, SchedulerFactory factory,
-           std::vector<SchedParamDoc> params = {});
-
-  /// Constructs a fresh scheduler from `spec` ("name" or "name:k=v,...").
-  /// Throws std::invalid_argument on a malformed spec, on parameters the
-  /// named scheduler rejects, and on an unknown name — listing the known
-  /// names plus a nearest-name suggestion for typos.
-  std::unique_ptr<Scheduler> make(const std::string& spec) const;
-
-  /// True if `name` (a bare name, not a spec) is registered.
-  bool contains(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
-  /// Accepted parameters of `name`, as registered (empty for
-  /// parameterless schedulers); throws std::invalid_argument for an
-  /// unknown name.
-  std::vector<SchedParamDoc> params(const std::string& name) const;
-
- private:
-  SchedulerRegistry() = default;
-  struct Impl;
-  Impl& impl() const;
-};
-
-/// RAII helper: constructing one registers a factory (used by the
-/// registration macros below from each scheduler's translation unit).
-struct SchedulerRegistrar {
-  SchedulerRegistrar(const std::string& name, SchedulerFactory factory,
-                     std::vector<SchedParamDoc> params = {});
-};
-
-/// Convenience wrappers mirroring the registry, kept as free functions
-/// because they predate it (harness/apps.h re-exports them). `spec` is
-/// anything SchedulerRegistry::make accepts.
+/// Constructs a fresh scheduler from `spec` ("name" or "name:k=v,...").
+/// A parameterized scheduler's name() is the spec as given. Throws
+/// std::invalid_argument on a malformed spec, on parameters the family
+/// rejects, and on an unknown name — listing the known names plus a
+/// nearest-name suggestion for typos.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& spec);
+
+/// Family names, sorted.
 std::vector<std::string> known_schedulers();
 
+/// The accepted keys of family `name` (empty for a parameterless one);
+/// throws std::invalid_argument for an unknown name.
+std::span<const SpecKey> scheduler_keys(const std::string& name);
+
 }  // namespace cachesched
-
-/// Registers `Type` (default-constructible Scheduler subclass) as `name`.
-/// The spec must carry no parameters — any key is rejected. Place in the
-/// scheduler's .cc file at namespace cachesched scope.
-#define CACHESCHED_REGISTER_SCHEDULER(name, Type)                         \
-  namespace {                                                             \
-  const ::cachesched::SchedulerRegistrar registrar_##Type(                \
-      name, [](const ::cachesched::SchedSpec& spec) {                     \
-        ::cachesched::SchedParams params(spec, {});                       \
-        (void)params;                                                     \
-        return std::make_unique<Type>();                                  \
-      });                                                                 \
-  }
-
-/// Registers a parameterized scheduler family: `factory` is a callable
-/// taking (const SchedSpec&) and returning std::unique_ptr<Scheduler>;
-/// `...` is a braced initializer list of SchedParamDoc entries declaring
-/// the accepted keys for `cachesched_cli list`.
-#define CACHESCHED_REGISTER_SCHEDULER_SPEC(name, tag, factory, ...)       \
-  namespace {                                                             \
-  const ::cachesched::SchedulerRegistrar registrar_##tag(name, factory,   \
-                                                         __VA_ARGS__);    \
-  }

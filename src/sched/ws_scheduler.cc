@@ -1,10 +1,5 @@
 #include "sched/ws_scheduler.h"
 
-#include <limits>
-#include <memory>
-
-#include "sched/registry.h"
-
 namespace cachesched {
 
 void WsScheduler::on_reset(const TaskDag& dag, const SchedContext& ctx) {
@@ -40,26 +35,5 @@ int WsScheduler::pick_victim(int core) {
   }
   return -1;
 }
-
-namespace {
-
-std::unique_ptr<Scheduler> make_ws(const SchedSpec& spec) {
-  SchedParams p(spec, {"victims", "steal", "seed"});
-  WsScheduler::Options opt;
-  opt.victims = static_cast<WsScheduler::Victims>(
-      p.get_choice("victims", 0, {"seq", "rand"}));
-  opt.steal = static_cast<StealingSchedulerBase::Steal>(
-      p.get_choice("steal", 0, {"one", "half"}));
-  opt.seed = p.get_u64("seed", 1, 0, std::numeric_limits<uint64_t>::max());
-  return std::make_unique<WsScheduler>(opt, spec.str());
-}
-
-}  // namespace
-
-CACHESCHED_REGISTER_SCHEDULER_SPEC(
-    "ws", ws, make_ws,
-    {{"victims", "seq", "victim order: seq (ring scan from self+1) or rand"},
-     {"steal", "one", "tasks per steal: one or half (bottom ceil(n/2))"},
-     {"seed", "1", "per-core PRNG seed (victims=rand only)"}})
 
 }  // namespace cachesched

@@ -4,7 +4,7 @@
 //
 //  * kRandomCases seeded random cases: the five generator families with
 //    a shared region, plus a write-sharing family of readers and forked
-//    writers of a few lines; every registered scheduler plus
+//    writers of a few lines; every scheduler family plus
 //    parameterized variants; 1-32 cores; a random geometry alone or with
 //    a banked L2, a 1-line L1, a fully associative L2, zero dispatch cost
 //    or one core; task statistics on and off;

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
-#include "sched/central_fifo_scheduler.h"
+#include "harness/workload_registry.h"
 #include "sched/registry.h"
 
 namespace cachesched {
 namespace {
 
-TEST(Registry, BuiltinSchedulersSelfRegister) {
+TEST(Registry, BuiltinSchedulersAreListed) {
   const auto names = known_schedulers();
   for (const char* expected : {"aff", "cfb", "fifo", "pdf", "prio", "ws"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
@@ -68,54 +69,45 @@ TEST(Registry, UnknownParameterKeyThrows) {
   EXPECT_THROW(make_scheduler("pdf:anything=1"), std::invalid_argument);
 }
 
-TEST(Registry, ParamsAccessorDocumentsAcceptedKeys) {
-  const auto ws = SchedulerRegistry::instance().params("ws");
+TEST(Registry, KeysDocumentAcceptedParameters) {
+  const auto ws = scheduler_keys("ws");
   ASSERT_EQ(ws.size(), 3u);
-  EXPECT_EQ(ws[0].key, "victims");
-  EXPECT_EQ(ws[0].def, "seq");
-  EXPECT_EQ(ws[1].key, "steal");
-  EXPECT_EQ(ws[2].key, "seed");
-  EXPECT_TRUE(SchedulerRegistry::instance().params("pdf").empty());
-  EXPECT_THROW(SchedulerRegistry::instance().params("nope"),
-               std::invalid_argument);
+  EXPECT_STREQ(ws[0].key, "victims");
+  EXPECT_STREQ(ws[0].def, "seq");
+  EXPECT_STREQ(ws[1].key, "steal");
+  EXPECT_STREQ(ws[2].key, "seed");
+  EXPECT_TRUE(scheduler_keys("pdf").empty());
+  EXPECT_THROW(scheduler_keys("nope"), std::invalid_argument);
 }
 
-TEST(Registry, ContainsOnlyRegisteredNames) {
-  auto& reg = SchedulerRegistry::instance();
-  EXPECT_TRUE(reg.contains("pdf"));
-  EXPECT_FALSE(reg.contains("nope"));
+TEST(Registry, EmptyNameOrParameterSectionRejected) {
+  EXPECT_THROW(make_scheduler(""), std::invalid_argument);
+  EXPECT_THROW(make_scheduler(":steal=half"), std::invalid_argument);
+  EXPECT_THROW(make_scheduler("ws:"), std::invalid_argument);
+  EXPECT_THROW(make_scheduler("pdf:"), std::invalid_argument);
 }
 
-TEST(Registry, CustomRegistrationIsVisibleThroughLookup) {
-  SchedulerRegistrar reg("test-fifo-variant", [](const SchedSpec&) {
-    return std::make_unique<CentralFifoScheduler>();
-  });
-  EXPECT_TRUE(SchedulerRegistry::instance().contains("test-fifo-variant"));
-  EXPECT_STREQ(make_scheduler("test-fifo-variant")->name(), "fifo");
-}
-
-TEST(Registry, DuplicateRegistrationThrows) {
-  EXPECT_THROW(
-      SchedulerRegistry::instance().add(
-          "pdf", [](const SchedSpec&) { return make_scheduler("pdf"); }),
-      std::invalid_argument);
-}
-
-TEST(Registry, EmptyNameOrFactoryRejected) {
-  EXPECT_THROW(
-      SchedulerRegistry::instance().add(
-          "", [](const SchedSpec&) { return make_scheduler("pdf"); }),
-      std::invalid_argument);
-  EXPECT_THROW(SchedulerRegistry::instance().add("valid-name", nullptr),
-               std::invalid_argument);
-}
-
-TEST(Registry, NamesWithSpecDelimitersRejected) {
-  auto factory = [](const SchedSpec&) { return make_scheduler("pdf"); };
-  EXPECT_THROW(SchedulerRegistry::instance().add("bad:name", factory),
-               std::invalid_argument);
-  EXPECT_THROW(SchedulerRegistry::instance().add("bad,name", factory),
-               std::invalid_argument);
+// A spec that sets a key to the default its row documents is the bare
+// family: on a small DAG it gives the bare name's SimResult, apart from
+// the scheduler field (the spec itself). One row per key `list` prints.
+TEST(Registry, DocumentedDefaultsMatchTheBareFamily) {
+  const CmpConfig cfg = default_config(4).scaled(0.0078125);
+  const Workload w =
+      make_workload("dnc:depth=4,fanout=2,ws=4K,share=0.2", cfg, {});
+  size_t rows = 0;
+  for (const std::string& name : known_schedulers()) {
+    const SimResult bare = simulate_app(w, cfg, name);
+    EXPECT_EQ(bare.scheduler, name);
+    for (const SpecKey& k : scheduler_keys(name)) {
+      const std::string spec = name + ":" + k.key + "=" + k.def;
+      SimResult r = simulate_app(w, cfg, spec);
+      EXPECT_EQ(r.scheduler, spec);
+      r.scheduler = bare.scheduler;
+      EXPECT_EQ(r, bare) << spec;
+      ++rows;
+    }
+  }
+  EXPECT_EQ(rows, 7u);  // aff 1, cfb 1, prio 2, ws 3
 }
 
 }  // namespace

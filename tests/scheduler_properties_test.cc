@@ -15,8 +15,8 @@
 namespace cachesched {
 namespace {
 
-/// Every registered scheduler family by its bare name — enumerated from
-/// the registry, not hand-listed, so a newly registered policy is under
+/// Every scheduler family by its bare name — enumerated by
+/// known_schedulers, not hand-listed, so a newly added policy is under
 /// the invariants automatically — plus one parameterized variant per
 /// zoo knob, exercising the non-default code paths.
 std::vector<std::string> all_sched_specs() {

@@ -520,15 +520,16 @@ TEST_F(StoreTest, FailedPutsQuarantineThenResumeFillsTheHoles) {
   EXPECT_EQ(merged.to_json(), plain.to_json());
 }
 
+// Only a put rewrites the SALT marker: opening a store and reading it,
+// as `sweep merge` does, leave another engine's marker in place, so the
+// mismatch is still reported on the next open.
 TEST_F(StoreTest, SaltMarkerTracksWriterAndFlagsMismatch) {
+  std::optional<StoreKey> key;
+  const SweepRecord rec = one_record(&key);
+  ASSERT_TRUE(key);
   {
     ResultStore store(dir());
     EXPECT_EQ(store.previous_salt(), "");  // fresh directory: no history
-    EXPECT_FALSE(store.salt_mismatch());
-  }
-  {
-    ResultStore store(dir());  // reopen: marker written by the first open
-    EXPECT_EQ(store.previous_salt(), kStoreEngineSalt);
     EXPECT_FALSE(store.salt_mismatch());
   }
   write_file(dir_ / "SALT", "stale-salt-v0\n");
@@ -536,9 +537,20 @@ TEST_F(StoreTest, SaltMarkerTracksWriterAndFlagsMismatch) {
     ResultStore store(dir());
     EXPECT_EQ(store.previous_salt(), "stale-salt-v0");
     EXPECT_TRUE(store.salt_mismatch());
+    std::vector<MergeHole> holes;
+    load_all(store, {rec.job}, /*allow_holes=*/true, &holes);
+    EXPECT_EQ(holes.size(), 1u);
   }
+  EXPECT_EQ(read_file(dir_ / "SALT"), "stale-salt-v0\n");
   {
-    ResultStore store(dir());  // the mismatched open rewrote the marker
+    ResultStore store(dir());  // still flagged on the next open
+    EXPECT_TRUE(store.salt_mismatch());
+    store.put(*key, rec);
+  }
+  EXPECT_EQ(read_file(dir_ / "SALT"), std::string(kStoreEngineSalt) + "\n");
+  {
+    ResultStore store(dir());  // the put rewrote the marker
+    EXPECT_EQ(store.previous_salt(), kStoreEngineSalt);
     EXPECT_FALSE(store.salt_mismatch());
   }
 }

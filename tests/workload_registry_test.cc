@@ -1,6 +1,7 @@
-// Workload registry: seed apps and generated families resolve through one
-// make_workload factory, unknown names fail listing the alternatives, and
-// CLI workload lists with embedded generator-spec commas split correctly.
+// Workload resolution: seed apps and generated families resolve through
+// one make_workload factory, unknown names fail listing the alternatives
+// and the nearest name, and CLI workload lists with embedded
+// generator-spec commas split correctly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +23,7 @@ TEST(WorkloadRegistry, ResolvesEverySeedApp) {
   AppOptions opt;
   opt.scale = kScale;
   for (const std::string& name : known_apps()) {
-    EXPECT_TRUE(WorkloadRegistry::instance().contains(name)) << name;
+    EXPECT_NO_THROW(check_workload(name)) << name;
     const Workload via_registry = make_workload(name, cfg, opt);
     const Workload direct = make_app(name, cfg, opt);
     EXPECT_EQ(via_registry.name, direct.name);
@@ -37,7 +38,7 @@ TEST(WorkloadRegistry, ResolvesEveryGeneratedFamily) {
   const CmpConfig cfg = default_config(4).scaled(kScale);
   AppOptions opt;
   for (const std::string& fam : GenSpec::family_names()) {
-    EXPECT_TRUE(WorkloadRegistry::instance().contains(fam)) << fam;
+    EXPECT_NO_THROW(check_workload(fam)) << fam;
     const Workload w = make_workload(fam, cfg, opt);  // family defaults
     EXPECT_EQ(w.name, fam);
     EXPECT_GT(w.dag.num_tasks(), 0u);
@@ -58,9 +59,9 @@ TEST(WorkloadRegistry, KnownWorkloadsCoversSeedAndGenerated) {
   for (const std::string& fam : GenSpec::family_names()) {
     EXPECT_NE(std::find(names.begin(), names.end(), fam), names.end()) << fam;
   }
-  // Sorted, and entries() agrees with names().
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  EXPECT_EQ(WorkloadRegistry::instance().entries().size(), names.size());
+  EXPECT_EQ(names.size(),
+            known_apps().size() + GenSpec::family_names().size());
 }
 
 TEST(WorkloadRegistry, UnknownWorkloadListsKnownNames) {
@@ -76,33 +77,40 @@ TEST(WorkloadRegistry, UnknownWorkloadListsKnownNames) {
   }
 }
 
+TEST(WorkloadRegistry, UnknownWorkloadSuggestsNearestName) {
+  const CmpConfig cfg = default_config(2).scaled(kScale);
+  try {
+    make_workload("mergsort", cfg, {});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("did you mean mergesort?"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// One grammar: nothing after ':' is rejected for seed apps and generated
+// families, as for schedulers (registry_test).
+TEST(WorkloadRegistry, EmptyParameterSectionRejected) {
+  EXPECT_THROW(check_workload("dnc:"), std::invalid_argument);
+  EXPECT_THROW(check_workload("mergesort:"), std::invalid_argument);
+}
+
 TEST(WorkloadRegistry, SeedAppsTakeNoSpecParams) {
   const CmpConfig cfg = default_config(2).scaled(kScale);
   AppOptions opt;
   opt.scale = kScale;
   EXPECT_THROW(make_workload("mergesort:ws=4K", cfg, opt),
                std::invalid_argument);
+  EXPECT_THROW(check_workload("mergesort:ws=4K"), std::invalid_argument);
 }
 
 TEST(WorkloadRegistry, BadGeneratorParamsPropagate) {
   const CmpConfig cfg = default_config(2).scaled(kScale);
   EXPECT_THROW(make_workload("dnc:depth=0", cfg, {}), std::invalid_argument);
   EXPECT_THROW(make_workload("dnc:bogus=1", cfg, {}), std::invalid_argument);
-}
-
-TEST(WorkloadRegistry, DuplicateRegistrationThrows) {
-  EXPECT_THROW(WorkloadRegistry::instance().add(
-                   "mergesort", "dup",
-                   [](const std::string&, const CmpConfig&,
-                      const AppOptions&) { return Workload{}; }),
-               std::invalid_argument);
-  EXPECT_THROW(WorkloadRegistry::instance().add(
-                   "bad:name", "colon",
-                   [](const std::string&, const CmpConfig&,
-                      const AppOptions&) { return Workload{}; }),
-               std::invalid_argument);
-  EXPECT_THROW(WorkloadRegistry::instance().add("", "empty", nullptr),
-               std::invalid_argument);
+  EXPECT_THROW(check_workload("dnc:depth=0"), std::invalid_argument);
+  EXPECT_THROW(check_workload("dnc:bogus=1"), std::invalid_argument);
 }
 
 TEST(SplitWorkloadList, PlainNamesSplitOnCommas) {

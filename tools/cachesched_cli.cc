@@ -40,9 +40,9 @@
 //
 // Everywhere an app name is accepted (--app, --apps), a synthetic
 // generator spec like "dnc:depth=8,fanout=4,ws=64K,share=0.3" works too
-// (grammar: src/gen/genspec.h; `list` prints the families). Scheduler
+// (keys: src/gen/genspec.h; `list` prints the families). Scheduler
 // names (--sched, --scheds) take the same spec-string form, e.g.
-// "ws:victims=rand,steal=half,seed=7" (grammar: src/sched/schedspec.h;
+// "ws:victims=rand,steal=half,seed=7" (grammar: src/util/spec.h;
 // `list` prints each scheduler's keys and defaults).
 //
 // The timing-override flags (--l2-hit, --mem-latency, --banks,
@@ -66,6 +66,7 @@
 
 #include "exp/store.h"
 #include "exp/sweep.h"
+#include "gen/genspec.h"
 #include "harness/apps.h"
 #include "harness/workload_registry.h"
 #include "sched/registry.h"
@@ -134,17 +135,17 @@ int check_scheds(const std::vector<std::string>& scheds) {
   return 0;
 }
 
-/// Validates workload specs up front, like check_scheds: an unknown
-/// workload name exits 2 with a nearest-name hint before any build.
+/// Validates workload specs whole (name and params) up front, like
+/// check_scheds, through the parse make_workload uses: a bad spec exits
+/// 2 before any build.
 int check_apps(const std::vector<std::string>& apps) {
-  const WorkloadRegistry& reg = WorkloadRegistry::instance();
   for (const auto& spec : apps) {
-    if (reg.contains(spec)) continue;
-    const std::string name = spec.substr(0, spec.find(':'));
-    const std::string hint = nearest_flag(name, reg.names());
-    std::cerr << "cachesched_cli: unknown workload: " << name
-              << (hint.empty() ? "" : " (did you mean " + hint + "?)") << "\n";
-    return kExitUsage;
+    try {
+      check_workload(spec);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "cachesched_cli: " << e.what() << "\n";
+      return kExitUsage;
+    }
   }
   return kExitOk;
 }
@@ -450,8 +451,8 @@ int cmd_list(const CliArgs& args) {
   if (const int rc = args.check_unused()) return rc;
   std::cout << "schedulers (spec grammar: name[:key=val,...]):\n";
   Table s({"name", "param", "default", "description"});
-  for (const auto& name : known_schedulers()) {  // sorted by the registry
-    const auto params = SchedulerRegistry::instance().params(name);
+  for (const auto& name : known_schedulers()) {  // sorted
+    const auto params = scheduler_keys(name);
     if (params.empty()) {
       s.add_row({name, "-", "-", "(no parameters)"});
       continue;
@@ -464,7 +465,10 @@ int cmd_list(const CliArgs& args) {
   s.emit();
   std::cout << "\nworkloads:\n";
   Table t({"name", "kind"});
-  for (const auto& [name, kind] : WorkloadRegistry::instance().entries()) {
+  for (const auto& name : known_workloads()) {  // sorted
+    const char* kind = GenSpec::is_family(name)
+                           ? "generated family (src/gen, see README)"
+                           : "seed app";
     t.add_row({name, kind});
   }
   t.emit();

@@ -812,15 +812,15 @@ void ablation_dagfamily(const Paper& p) {
   t.emit(p.csv("ablation_dagfamily"));
 }
 
-// Figure 2's question asked across the whole scheduler registry: every
-// registered family (bare defaults plus parameterized variants) on each
+// Figure 2's question asked across the whole scheduler zoo: every
+// scheduler family (bare defaults plus parameterized variants) on each
 // generator family at a "fit" per-task working set (P concurrent tasks
 // fit the shared L2) and a "spill" one (they do not; the regime where
 // the paper shows policy decides the miss rate). The closing table is
 // the geometric-mean slowdown and L2-MPKI ratio vs PDF per scheduler and
 // scale.
 void ablation_sched_zoo(const Paper& p) {
-  // Registry names (sorted, so new schedulers join automatically), then
+  // Family names (sorted, so new schedulers join automatically), then
   // the zoo's parameterized variants.
   std::vector<std::string> scheds = known_schedulers();
   for (const char* v :

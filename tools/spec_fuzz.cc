@@ -8,11 +8,13 @@
 // anything else, never loop. This tool hammers that contract: starting
 // from a per-grammar corpus of valid specs it applies seeded byte-level
 // mutations (flip, insert, delete, swap, truncate, splice, number
-// perturbation) and feeds the result to the parser. Outcomes:
+// perturbation) and feeds the result to the parser. The gen grammar is
+// GenSpec::parse; the sched grammar is make_scheduler, so every family's
+// key rows and typed getters run too. Outcomes:
 //
-//   * parse succeeds  -> the canonical reserialization must re-parse to
-//                        an equal spec (round-trip law, where the grammar
-//                        has one);
+//   * parse succeeds  -> the round-trip law must hold: gen's canonical
+//                        form re-parses to an equal spec; a scheduler's
+//                        name() makes a scheduler of the same name;
 //   * invalid_argument -> fine, that is the contract;
 //   * anything else    -> bug: report the input (hex + raw) and abort.
 //
@@ -28,8 +30,9 @@
 #include <vector>
 
 #include "gen/genspec.h"
-#include "sched/schedspec.h"
+#include "sched/registry.h"
 #include "util/cli.h"
+#include "util/rng.h"
 
 using namespace cachesched;
 
@@ -37,15 +40,8 @@ namespace {
 
 // --- deterministic PRNG (no system entropy: runs must reproduce) -------
 
-struct SplitMix64 {
-  uint64_t s;
-  explicit SplitMix64(uint64_t seed) : s(seed) {}
-  uint64_t next() {
-    uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
+struct FuzzRng : SplitMix64 {
+  using SplitMix64::SplitMix64;
   // Uniform in [0, n); n must be > 0.
   uint64_t below(uint64_t n) { return next() % n; }
 };
@@ -57,7 +53,7 @@ struct SplitMix64 {
 const char kAlphabet[] = "0123456789abcdefghijklmnopqrstuvwxyz"
                          ":,=._-+ \t%*/ABCZ\x00\x7f\xff";
 
-std::string mutate(const std::string& base, SplitMix64& rng,
+std::string mutate(const std::string& base, FuzzRng& rng,
                    const std::vector<std::string>& corpus) {
   std::string s = base;
   const int rounds = 1 + static_cast<int>(rng.below(4));
@@ -139,11 +135,11 @@ void parse_gen(const std::string& input) {
 }
 
 void parse_sched(const std::string& input) {
-  const SchedSpec s = SchedSpec::parse(input);
-  const SchedSpec s2 = SchedSpec::parse(s.str());
-  if (s2.str() != s.str()) {
-    throw std::logic_error("schedspec str round-trip mismatch: \"" + s.str() +
-                           "\" vs \"" + s2.str() + "\"");
+  const std::string n = make_scheduler(input)->name();
+  const std::string n2 = make_scheduler(n)->name();
+  if (n2 != n) {
+    throw std::logic_error("scheduler name round-trip mismatch: \"" + n +
+                           "\" vs \"" + n2 + "\"");
   }
 }
 
@@ -157,9 +153,11 @@ std::vector<Grammar> make_grammars() {
         "stencil:tiles=8,steps=8,share=0.25,shared=65536",
         "dnc:ws=4096,share=0.1,reuse=rand,passes=2,ipr=8,seed=3"},
        &parse_gen});
+  // One valid spec per scheduler family.
   gs.push_back({"sched",
-                {"ws", "pdf", "seq", "ws:steal=half,victim=rand",
-                 "priority:alpha=0.5,beta=0.25", "name:k=v,k2=v2"},
+                {"aff:steal=half", "cfb:budget=0.5", "fifo", "pdf",
+                 "prio:key=depth,order=max",
+                 "ws:victims=rand,steal=half,seed=7"},
                 &parse_sched});
   return gs;
 }
@@ -210,7 +208,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  SplitMix64 rng(seed ? seed : 1);
+  FuzzRng rng(seed ? seed : 1);
   uint64_t accepted = 0, rejected = 0;
   for (uint64_t i = 0; i < iters; ++i) {
     Grammar& g = *active[rng.below(active.size())];
