@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -264,7 +263,6 @@ struct ResultStore::Impl {
   std::mutex mu;  // guards stats
   Stats stats;
   std::atomic<uint64_t> tmp_seq{0};
-  std::once_flag salt_once;  // the first put writes the SALT marker
 };
 
 ResultStore::ResultStore(std::string dir)
@@ -275,24 +273,12 @@ ResultStore::ResultStore(std::string dir)
     throw std::runtime_error("result store: cannot create directory " + dir_ +
                              (ec ? ": " + ec.message() : ""));
   }
-  // SALT marker: which engine salt last wrote this directory. Entries
-  // self-identify (their header carries the salt), so the marker exists
-  // purely to let tooling explain a full re-simulation up front instead
-  // of rejecting entries one by one. Only put() rewrites it, so a store
-  // that is opened only to read (`sweep merge`) keeps its marker.
-  std::ifstream f(fs::path(dir_) / "SALT");
-  if (f) std::getline(f, previous_salt_);
 }
 
 std::string ResultStore::path_for(const StoreKey& key) const {
   const std::string hex = key.hex();
   return (fs::path(dir_) / hex.substr(0, 2) / (hex.substr(2) + ".rec"))
       .string();
-}
-
-bool ResultStore::contains(const StoreKey& key) const {
-  std::error_code ec;
-  return fs::exists(path_for(key), ec);
 }
 
 bool ResultStore::load(const StoreKey& key, SweepRecord* rec) {
@@ -363,23 +349,6 @@ void fsync_dir(const fs::path& dir) {
   ::close(fd);
 }
 
-/// Marks `dir` as written by kStoreEngineSalt, atomically (temp file +
-/// rename); `tag` makes the temp name unique per store. Concurrent shards
-/// race benignly: all write the same content. Advisory, so a failure is
-/// ignored.
-void write_salt_marker(const fs::path& dir, const void* tag) {
-  std::ostringstream tmp_name;
-  tmp_name << "SALT.tmp-" << reinterpret_cast<uintptr_t>(tag);
-  const fs::path tmp_path = dir / tmp_name.str();
-  std::error_code ec;
-  std::ofstream f(tmp_path, std::ios::binary | std::ios::trunc);
-  if (f && (f << kStoreEngineSalt << '\n') && f.flush()) {
-    f.close();
-    fs::rename(tmp_path, dir / "SALT", ec);
-  }
-  if (ec) fs::remove(tmp_path, ec);
-}
-
 }  // namespace
 
 void ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
@@ -410,10 +379,6 @@ void ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
                          final_path.string() + ": " + why);
   }
   fsync_dir(final_path.parent_path());
-  if (previous_salt_ != kStoreEngineSalt) {
-    std::call_once(impl_->salt_once,
-                   [&] { write_salt_marker(dir_, impl_.get()); });
-  }
   std::lock_guard<std::mutex> lock(impl_->mu);
   ++impl_->stats.puts;
 }
@@ -456,48 +421,6 @@ std::vector<SweepJob> shard_jobs(const std::vector<SweepJob>& jobs, size_t i,
   out.reserve((jobs.size() + n - 1) / n);
   for (size_t j = i; j < jobs.size(); j += n) out.push_back(jobs[j]);
   return out;
-}
-
-SweepResults load_all(ResultStore& store, const std::vector<SweepJob>& jobs) {
-  return load_all(store, jobs, /*allow_holes=*/false, nullptr);
-}
-
-SweepResults load_all(ResultStore& store, const std::vector<SweepJob>& jobs,
-                      bool allow_holes, std::vector<MergeHole>* holes) {
-  std::vector<SweepRecord> records;
-  records.reserve(jobs.size());
-  std::vector<MergeHole> missing;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const std::optional<StoreKey> key = store_key(jobs[i]);
-    SweepRecord rec;
-    if (!key || !store.load(*key, &rec)) {
-      missing.push_back({i, jobs[i].key()});
-      continue;
-    }
-    rec.job = jobs[i];
-    rec.job.factory = nullptr;
-    records.push_back(std::move(rec));
-  }
-  if (!missing.empty() && !allow_holes) {
-    // Name the holes explicitly (capped): "which jobs" is the question an
-    // operator actually has after a quarantined or interrupted sweep.
-    std::ostringstream os;
-    os << "result store: " << missing.size() << " of " << jobs.size()
-       << " jobs have no stored record in " << store.dir()
-       << " (incomplete shards? quarantined jobs? stale salt?):";
-    const size_t show = std::min<size_t>(missing.size(), 8);
-    for (size_t i = 0; i < show; ++i) {
-      const JobKey& k = missing[i].key;
-      os << "\n  job " << missing[i].index << ": " << k.app << "/" << k.sched
-         << "/cores=" << k.cores << (k.tag.empty() ? "" : "/" + k.tag);
-    }
-    if (missing.size() > show) {
-      os << "\n  ... and " << missing.size() - show << " more";
-    }
-    throw std::runtime_error(os.str());
-  }
-  if (holes != nullptr) *holes = std::move(missing);
-  return SweepResults(std::move(records));
 }
 
 }  // namespace cachesched

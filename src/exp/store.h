@@ -1,5 +1,6 @@
-// Content-addressed on-disk result store for the sweep engine
-// (ROADMAP item 4: sweep-as-a-service).
+// Content-addressed on-disk result store for the sweep engine: a sweep
+// given a store loads every job that has a record and simulates and puts
+// only the rest, so rerunning a sweep is how it is resumed or assembled.
 //
 // Every sweep job is a deterministic simulation, so a completed
 // SweepRecord is a pure function of the job's full identity:
@@ -35,16 +36,16 @@
 //
 // Invalidation rule: any change that alters simulation results —
 // engine timing, scheduler behavior, workload generation — must bump
-// kStoreEngineSalt; every stored record then misses and re-simulates.
-// Capacity/geometry and timing knobs need no bump: they are part of the
-// key.
+// kStoreEngineSalt. The salt is the first field of every key, so a bump
+// moves every key: old entries simply miss and re-simulate. Capacity/
+// geometry and timing knobs need no bump: they are part of the key.
 //
 // Sharding: shard_jobs() deterministically partitions one expanded job
 // matrix across N processes (round-robin by job index); each shard runs
 // `cachesched_cli sweep --shard=i/N --store=DIR` against the shared
-// store, and load_all() (the `sweep merge` subcommand) reassembles the
-// full matrix from the store in job order — byte-identical to a
-// single-process run of the same matrix.
+// store. Rerunning the same command without --shard assembles the full
+// matrix in job order — byte-identical to a single-process run — loading
+// every finished record and simulating any job a shard did not finish.
 #pragma once
 
 #include <cstdint>
@@ -112,28 +113,8 @@ class ResultStore {
   /// Thread-safe.
   void put(const StoreKey& key, const SweepRecord& rec);
 
-  /// True if an entry file exists for `key` (no validation).
-  bool contains(const StoreKey& key) const;
-
   /// Final on-disk path of `key`'s entry.
   std::string path_for(const StoreKey& key) const;
-
-  const std::string& dir() const { return dir_; }
-
-  /// The engine salt recorded in the directory's SALT marker when this
-  /// store was opened (empty for a freshly created store). The first
-  /// successful put() rewrites the marker to kStoreEngineSalt; opening
-  /// and loading leave it as it is, so a store that is only read (`sweep
-  /// merge`) keeps reporting the mismatch. The CLI uses this to warn that
-  /// --resume will re-simulate everything (see salt_mismatch()).
-  const std::string& previous_salt() const { return previous_salt_; }
-
-  /// True if the store directory was last written by a different engine
-  /// salt: every existing entry will be rejected and re-simulated (the
-  /// invalidation rule in the file comment).
-  bool salt_mismatch() const {
-    return !previous_salt_.empty() && previous_salt_ != kStoreEngineSalt;
-  }
 
   /// Hit/miss/corrupt/put counters since construction. Not synchronized
   /// with concurrent load/put calls — read after the sweep drains.
@@ -142,7 +123,6 @@ class ResultStore {
  private:
   struct Impl;
   std::string dir_;
-  std::string previous_salt_;
   std::shared_ptr<Impl> impl_;
 };
 
@@ -156,26 +136,5 @@ std::pair<size_t, size_t> parse_shard(const std::string& s);
 /// is exactly `jobs`.
 std::vector<SweepJob> shard_jobs(const std::vector<SweepJob>& jobs, size_t i,
                                  size_t n);
-
-/// A job absent from the store during load_all — a quarantined job, an
-/// unfinished shard, or a stale-salt entry.
-struct MergeHole {
-  size_t index = 0;  // position in the expanded job matrix
-  JobKey key;
-};
-
-/// Assembles a full job matrix entirely from the store, in job order —
-/// the merge step after sharded sweeps. Throws std::runtime_error
-/// listing the missing JobKeys if any record is absent (e.g. a shard
-/// has not finished, or a job was quarantined). Factory jobs are not
-/// loadable and count as missing.
-SweepResults load_all(ResultStore& store, const std::vector<SweepJob>& jobs);
-
-/// Hole-tolerant overload: with allow_holes, missing jobs are reported
-/// through *holes (may be null) and the result contains the found
-/// records only, in job order. With allow_holes == false behaves like
-/// the two-argument form.
-SweepResults load_all(ResultStore& store, const std::vector<SweepJob>& jobs,
-                      bool allow_holes, std::vector<MergeHole>* holes);
 
 }  // namespace cachesched

@@ -85,22 +85,15 @@ WorkloadKey workload_key(const SweepJob& job) {
 namespace {
 
 SweepRecord run_one(const SweepJob& job, const Workload& w) {
-  CmpConfig cfg = job.config;
-  std::string sched = job.sched;
-  if (sched == kSequentialSched) {
-    cfg.cores = 1;
-    cfg.name += "-seq";
-    sched = "pdf";  // one core: PDF = sequential 1DF order
-  }
-  CmpSimulator sim(cfg);
-  auto s = make_scheduler(sched);
   SweepRecord rec;
   rec.job = job;
   rec.job.factory = nullptr;  // don't retain captured workloads in results
   rec.params = w.params;
   rec.num_tasks = w.dag.num_tasks();
   rec.total_refs = w.dag.total_refs();
-  rec.result = sim.run(w.dag, *s);
+  rec.result = job.sched == kSequentialSched
+                   ? simulate_sequential(w, job.config)
+                   : simulate_app(w, job.config, job.sched);
   return rec;
 }
 
@@ -359,9 +352,6 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
 SweepResults run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   return run_sweep(expand(spec), options);
 }
-
-SweepResults::SweepResults(std::vector<SweepRecord> records)
-    : SweepResults(std::move(records), {}, 0) {}
 
 SweepResults::SweepResults(std::vector<SweepRecord> records,
                            std::vector<QuarantinedJob> quarantined,

@@ -64,7 +64,8 @@ class ResultStore;  // exp/store.h
 
 /// Pseudo-scheduler name for the sequential baseline: the workload on one
 /// core of the same configuration under PDF (= 1DF order), the
-/// denominator of the paper's speedup plots.
+/// denominator of the paper's speedup plots. A seq job runs
+/// simulate_sequential (harness/apps.h).
 inline constexpr const char* kSequentialSched = "seq";
 
 /// Builds the workload a job simulates; defaults to make_workload(app, ...).
@@ -228,7 +229,6 @@ struct QuarantinedJob {
 class SweepResults {
  public:
   SweepResults() = default;
-  explicit SweepResults(std::vector<SweepRecord> records);
   SweepResults(std::vector<SweepRecord> records,
                std::vector<QuarantinedJob> quarantined, size_t retries);
 

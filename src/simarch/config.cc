@@ -29,11 +29,6 @@ uint64_t floor_pow2(uint64_t v) {
 
 }  // namespace
 
-bool ConfigOverrides::any() const {
-  return l2_hit_cycles || mem_latency_cycles || l2_banks ||
-         task_dispatch_cycles;
-}
-
 void ConfigOverrides::apply(CmpConfig& cfg) const {
   if (l2_hit_cycles) cfg.l2_hit_cycles = *l2_hit_cycles;
   if (mem_latency_cycles) cfg.mem_latency_cycles = *mem_latency_cycles;

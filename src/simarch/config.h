@@ -89,9 +89,6 @@ struct ConfigOverrides {
   std::optional<int> l2_banks;
   std::optional<uint32_t> task_dispatch_cycles;
 
-  /// True if any field is set.
-  bool any() const;
-
   /// Overwrites the set CmpConfig fields of `cfg`.
   void apply(CmpConfig& cfg) const;
 

@@ -24,9 +24,9 @@ enum ExitCode : int {
   kExitRuntime = 1,
   /// Usage error: unknown flag/subcommand, malformed spec string.
   kExitUsage = 2,
-  /// The sweep finished but some jobs were quarantined, or a merge was
-  /// assembled with holes — output exists but is incomplete.
-  kExitQuarantinedHoles = 3,
+  /// The sweep finished but some jobs were quarantined — output exists
+  /// but is incomplete; rerunning the sweep on its store fills it.
+  kExitQuarantined = 3,
 };
 
 /// Typed getters never throw. A value that does not parse as the type

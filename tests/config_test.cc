@@ -103,16 +103,6 @@ TEST(Config, DescribeMentionsKeyParameters) {
   EXPECT_NE(d.find("20480KB"), std::string::npos);
 }
 
-TEST(ConfigOverrides, AnyIsFalseOnlyWhenEmpty) {
-  ConfigOverrides o;
-  EXPECT_FALSE(o.any());
-  o.task_dispatch_cycles = 0;  // engaged optional counts, even at 0
-  EXPECT_TRUE(o.any());
-  o = {};
-  o.l2_banks = 8;
-  EXPECT_TRUE(o.any());
-}
-
 TEST(ConfigOverrides, ApplySetsOnlyEngagedFields) {
   const CmpConfig base = default_config(8);
   ConfigOverrides o;

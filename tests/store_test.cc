@@ -137,7 +137,7 @@ TEST_F(StoreTest, PutThenLoadRoundTripsTheRecord) {
   SweepRecord missing;
   EXPECT_FALSE(store.load(*key, &missing));
   store.put(*key, res[0]);
-  EXPECT_TRUE(store.contains(*key));
+  EXPECT_TRUE(fs::exists(store.path_for(*key)));
 
   SweepRecord rec;
   ASSERT_TRUE(store.load(*key, &rec));
@@ -287,6 +287,9 @@ TEST_F(StoreTest, CorruptedTruncatedAndWrongSaltEntriesAreResimulated) {
   EXPECT_EQ(again.stats().corrupt, 0u);
 }
 
+// Assembly after sharded runs is one more sweep on the store: every job
+// loads (all hits, no puts), and the output is byte-identical to a
+// sweep run without a store.
 TEST_F(StoreTest, ShardedRunsMergeByteIdenticalToUnsharded) {
   const auto jobs = expand(small_spec());
   const SweepResults plain = run_sweep(jobs, {.workers = 1});
@@ -299,46 +302,15 @@ TEST_F(StoreTest, ShardedRunsMergeByteIdenticalToUnsharded) {
     run_sweep(shard_jobs(jobs, i, 2), opt);
   }
   ResultStore store(dir());
-  const SweepResults merged = load_all(store, jobs);
+  SweepOptions opt;
+  opt.workers = 2;
+  opt.store = &store;
+  const SweepResults merged = run_sweep(jobs, opt);
+  EXPECT_EQ(store.stats().hits, jobs.size());
+  EXPECT_EQ(store.stats().puts, 0u);
   ASSERT_EQ(merged.size(), jobs.size());
   EXPECT_EQ(plain.to_table().to_csv(), merged.to_table().to_csv());
   EXPECT_EQ(plain.to_json(), merged.to_json());
-}
-
-TEST_F(StoreTest, LoadAllThrowsOnIncompleteStore) {
-  const auto jobs = expand(small_spec());
-  {
-    ResultStore store(dir());
-    SweepOptions opt;
-    opt.workers = 1;
-    opt.store = &store;
-    run_sweep(shard_jobs(jobs, 0, 2), opt);  // only half the matrix
-  }
-  ResultStore store(dir());
-  EXPECT_THROW(load_all(store, jobs), std::runtime_error);
-}
-
-TEST_F(StoreTest, LoadAllWithHolesReturnsPartialMatrixAndNamesTheHoles) {
-  const auto jobs = expand(small_spec());
-  const auto stored = shard_jobs(jobs, 0, 2);
-  {
-    ResultStore store(dir());
-    SweepOptions opt;
-    opt.workers = 1;
-    opt.store = &store;
-    run_sweep(stored, opt);
-  }
-  ResultStore store(dir());
-  std::vector<MergeHole> holes;
-  const SweepResults res = load_all(store, jobs, /*allow_holes=*/true, &holes);
-  EXPECT_EQ(res.size(), stored.size());
-  ASSERT_EQ(holes.size(), jobs.size() - stored.size());
-  // Round-robin shard 0/2 stored the even indices; the holes are exactly
-  // the odd ones, in job order, carrying the job's identity.
-  for (size_t i = 0; i < holes.size(); ++i) {
-    EXPECT_EQ(holes[i].index, 2 * i + 1);
-    EXPECT_EQ(holes[i].key, jobs[2 * i + 1].key());
-  }
 }
 
 /// One simulated record and its key, to feed the put/load cases below.
@@ -378,7 +350,7 @@ TEST_F(StoreTest, PutIntoABlockedFanoutIsTransientAndRetriable) {
   ResultStore store(dir());
   write_file(fanout_of(store, *key), "not a directory");
   EXPECT_THROW(store.put(*key, rec), TransientError);
-  EXPECT_FALSE(store.contains(*key));
+  EXPECT_FALSE(fs::exists(store.path_for(*key)));
   EXPECT_TRUE(entry_files(dir_).empty());
   EXPECT_EQ(store.stats().puts, 0u);
 
@@ -453,10 +425,10 @@ TEST_F(StoreTest, TornTempFileIsNeverAnEntry) {
 }
 
 // The failure model end to end: puts that fail on I/O exhaust their
-// retries and quarantine exactly their jobs; the store then has holes
-// that a strict merge refuses and --allow-holes names; and a resume once
-// the obstacle is gone simulates only those jobs, ending byte-identical
-// to a sweep that never failed. Two workers, so TSan sees the pool.
+// retries and quarantine exactly their jobs, which quarantined() names;
+// and a resume once the obstacle is gone simulates only those jobs,
+// ending byte-identical to a sweep that never failed. Two workers, so
+// TSan sees the pool.
 TEST_F(StoreTest, FailedPutsQuarantineThenResumeFillsTheHoles) {
   const auto jobs = expand(small_spec());
   const SweepResults plain = run_sweep(jobs, {.workers = 1});
@@ -494,65 +466,18 @@ TEST_F(StoreTest, FailedPutsQuarantineThenResumeFillsTheHoles) {
     EXPECT_EQ(res.size(), jobs.size() - blocked_jobs.size());
     EXPECT_EQ(store.stats().puts, jobs.size() - blocked_jobs.size());
   }
-  {
-    ResultStore store(dir());
-    EXPECT_THROW(load_all(store, jobs), std::runtime_error);
-    std::vector<MergeHole> holes;
-    load_all(store, jobs, /*allow_holes=*/true, &holes);
-    std::vector<size_t> hole_indices;
-    for (const MergeHole& h : holes) hole_indices.push_back(h.index);
-    EXPECT_EQ(hole_indices, blocked_jobs);
-  }
   fs::remove(blocked);
-  {
-    ResultStore store(dir());
-    SweepOptions opt;
-    opt.workers = 2;
-    opt.store = &store;
-    run_sweep(jobs, opt);
-    EXPECT_EQ(store.stats().hits, jobs.size() - blocked_jobs.size());
-    EXPECT_EQ(store.stats().puts, blocked_jobs.size());
-    EXPECT_EQ(store.stats().corrupt, 0u);
-  }
   ResultStore store(dir());
-  const SweepResults merged = load_all(store, jobs);
-  EXPECT_EQ(merged.to_table().to_csv(), plain.to_table().to_csv());
-  EXPECT_EQ(merged.to_json(), plain.to_json());
-}
-
-// Only a put rewrites the SALT marker: opening a store and reading it,
-// as `sweep merge` does, leave another engine's marker in place, so the
-// mismatch is still reported on the next open.
-TEST_F(StoreTest, SaltMarkerTracksWriterAndFlagsMismatch) {
-  std::optional<StoreKey> key;
-  const SweepRecord rec = one_record(&key);
-  ASSERT_TRUE(key);
-  {
-    ResultStore store(dir());
-    EXPECT_EQ(store.previous_salt(), "");  // fresh directory: no history
-    EXPECT_FALSE(store.salt_mismatch());
-  }
-  write_file(dir_ / "SALT", "stale-salt-v0\n");
-  {
-    ResultStore store(dir());
-    EXPECT_EQ(store.previous_salt(), "stale-salt-v0");
-    EXPECT_TRUE(store.salt_mismatch());
-    std::vector<MergeHole> holes;
-    load_all(store, {rec.job}, /*allow_holes=*/true, &holes);
-    EXPECT_EQ(holes.size(), 1u);
-  }
-  EXPECT_EQ(read_file(dir_ / "SALT"), "stale-salt-v0\n");
-  {
-    ResultStore store(dir());  // still flagged on the next open
-    EXPECT_TRUE(store.salt_mismatch());
-    store.put(*key, rec);
-  }
-  EXPECT_EQ(read_file(dir_ / "SALT"), std::string(kStoreEngineSalt) + "\n");
-  {
-    ResultStore store(dir());  // the put rewrote the marker
-    EXPECT_EQ(store.previous_salt(), kStoreEngineSalt);
-    EXPECT_FALSE(store.salt_mismatch());
-  }
+  SweepOptions opt;
+  opt.workers = 2;
+  opt.store = &store;
+  const SweepResults resumed = run_sweep(jobs, opt);
+  EXPECT_EQ(store.stats().hits, jobs.size() - blocked_jobs.size());
+  EXPECT_EQ(store.stats().puts, blocked_jobs.size());
+  EXPECT_EQ(store.stats().corrupt, 0u);
+  EXPECT_TRUE(resumed.quarantined().empty());
+  EXPECT_EQ(resumed.to_table().to_csv(), plain.to_table().to_csv());
+  EXPECT_EQ(resumed.to_json(), plain.to_json());
 }
 
 TEST(ShardTest, ParseShardAcceptsValidRejectsInvalid) {

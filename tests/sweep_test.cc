@@ -202,7 +202,7 @@ TEST(SweepCache, SharedMatchesFreshBuildByteForByte) {
   for (const SweepJob& job : expand(spec)) {
     fresh.push_back(run_sweep({job}, {.workers = 1})[0]);
   }
-  const SweepResults baseline(std::move(fresh));
+  const SweepResults baseline(std::move(fresh), {}, 0);
   for (int workers : {1, 4}) {
     SweepOptions opt;
     opt.workers = workers;

@@ -3,7 +3,6 @@
 //   cachesched_cli run   --app=mergesort --cores=16 [--sched=pdf,ws]
 //                        [--scale=0.125] [--tech=default|45nm]
 //                        [--l2-hit=N] [--mem-latency=N] [--task-ws=BYTES]
-//   cachesched_cli configs                          # print Tables 2 and 3
 //   cachesched_cli list                             # registered schedulers
 //                                                   # and workloads
 //   cachesched_cli sweep --apps=mergesort,hashjoin,lu [--scheds=pdf,ws]
@@ -12,31 +11,25 @@
 //                        [--csv=path] [--json=path] [--progress]
 //                        [--l2-hit=N] [--mem-latency=N] [--banks=N]
 //                        [--dispatch=N]             # parallel job matrix
-//   cachesched_cli sweep ... --store=DIR [--resume]   # incremental: load
-//                        completed jobs from the content-addressed result
-//                        store, simulate + persist only the rest
+//   cachesched_cli sweep ... --store=DIR   # incremental: load completed
+//                        jobs from the content-addressed result store,
+//                        simulate + persist only the rest. Rerunning the
+//                        same command resumes a killed sweep; rerunning it
+//                        without --shard assembles a sharded one.
 //   cachesched_cli sweep ... --store=DIR --shard=i/N  # simulate only
 //                        shard i of the matrix into the shared store
 //   cachesched_cli sweep ... [--retries=N] [--retry-backoff=MS]
 //                        [--quarantine=BOOL]  # a failed store write is
 //                        retried with backoff; a job that exhausts its
-//                        retries is reported and skipped (exit 3). A
-//                        killed sweep leaves only complete store entries;
-//                        rerun it with --resume to simulate the rest.
-//   cachesched_cli sweep merge ... --store=DIR [--csv --json]
-//                        [--allow-holes]
-//                        # reassemble the full matrix from the store, in
-//                        job order — byte-identical to an unsharded run;
-//                        missing records abort (listing the holes) unless
-//                        --allow-holes emits the partial matrix (exit 3);
-//                        a DIR that does not exist is a usage error
+//                        retries is reported and skipped (exit 3).
 //   cachesched_cli memory [--apps=mergesort] [--scale=1.0] [--cores=8]
 //                        [--task-ws=BYTES]  # deterministic report of
 //                        the bytes a DAG stores (trace arena + task
 //                        metadata)
 //   cachesched_cli paper [--only=fig2,...] [--jobs=N] [--csv=DIR]
 //                        # regenerate every paper figure and table
-//                        (artifact list and CSV names: tools/paper.cc)
+//                        (artifact list and CSV names: tools/paper.cc;
+//                        --only=table_configs prints Tables 2 and 3)
 //
 // Everywhere an app name is accepted (--app, --apps), a synthetic
 // generator spec like "dnc:depth=8,fanout=4,ws=64K,share=0.3" works too
@@ -53,11 +46,10 @@
 // error (unknown flags/subcommands, malformed flag values including an
 // output file whose directory does not exist, bad spec strings, a --tech
 // or --cores the configuration tables do not list), 3 sweep completed
-// with quarantined jobs / merge assembled with holes.
+// with quarantined jobs.
 // Errors go to stderr. Every subcommand rejects these usage errors (exit
 // 2) before it builds a workload or writes a file.
 #include <cstdio>
-#include <filesystem>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -191,9 +183,8 @@ int cmd_run(const CliArgs& args) {
   return report(w.dag, cfg, scheds);
 }
 
-/// The sweep job-matrix flags, shared verbatim by `sweep` and
-/// `sweep merge` so a merge reassembles exactly the matrix the sharded
-/// runs simulated.
+/// The sweep job-matrix flags. A sharded run and the unsharded rerun that
+/// assembles it read the same flags, so they expand the same matrix.
 SweepSpec spec_from_args(const CliArgs& args) {
   SweepSpec spec;
   // split_workload_list keeps generator specs with embedded commas whole.
@@ -213,19 +204,6 @@ SweepSpec spec_from_args(const CliArgs& args) {
   spec.mergesort_task_ws = args.get_int<uint64_t>("task-ws", 0);
   spec.overrides = overrides_from_args(args);
   return spec;
-}
-
-/// Expands the job matrix into `*jobs`. A tech or core count the tables
-/// do not list, or a bad scale, is a usage error: reported, exit 2,
-/// before anything is built.
-int expand_from_args(const SweepSpec& spec, std::vector<SweepJob>* jobs) {
-  try {
-    *jobs = expand(spec);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "sweep: " << e.what() << "\n";
-    return kExitUsage;
-  }
-  return kExitOk;
 }
 
 int cmd_sweep(const CliArgs& args) {
@@ -250,34 +228,30 @@ int cmd_sweep(const CliArgs& args) {
   const std::string csv = args.get_output("csv", "");
   const std::string json = args.get_output("json", "");
   const std::string store_dir = args.get("store", "");
-  const bool resume = args.get_bool("resume", false);
   const std::string shard = args.get("shard", "");
   // Every flag has been queried; fail on typos *before* the long run.
   if (const int rc = args.check_unused()) return rc;
 
-  if (resume && store_dir.empty()) {
-    std::cerr << "sweep: --resume requires --store=DIR (the store holds the "
-                 "records to resume from)\n";
-    return kExitUsage;
-  }
-  if (resume && !std::filesystem::is_directory(store_dir)) {
-    std::cerr << "sweep: nothing to resume: " << store_dir
-              << " does not exist\n";
-    return kExitUsage;
-  }
   if (!shard.empty() && store_dir.empty()) {
-    std::cerr << "sweep: --shard requires --store=DIR (shard results are "
-                 "reassembled from the store by `sweep merge`)\n";
+    std::cerr << "sweep: --shard requires --store=DIR (the shards' records "
+                 "are assembled from the store)\n";
     return kExitUsage;
   }
   if (!shard.empty() && (!csv.empty() || !json.empty())) {
-    std::cerr << "sweep: --shard runs emit no CSV/JSON; run `sweep merge` "
-                 "with the full matrix flags to assemble output\n";
+    std::cerr << "sweep: --shard runs emit no CSV/JSON; rerun the same "
+                 "command without --shard to assemble the output\n";
     return kExitUsage;
   }
 
+  // A tech or core count the tables do not list, or a bad scale, is a
+  // usage error: reported, exit 2, before anything is built.
   std::vector<SweepJob> jobs;
-  if (const int rc = expand_from_args(spec, &jobs)) return rc;
+  try {
+    jobs = expand(spec);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "sweep: " << e.what() << "\n";
+    return kExitUsage;
+  }
   if (jobs.empty()) {
     std::cerr << "sweep: empty job matrix (check --apps/--scheds/--cores)\n";
     return kExitUsage;
@@ -292,14 +266,6 @@ int cmd_sweep(const CliArgs& args) {
   if (!store_dir.empty()) {
     store.emplace(store_dir);
     opt.store = &*store;
-    if (resume && store->salt_mismatch()) {
-      std::cerr << "sweep: store " << store_dir
-                << " was written by engine salt \"" << store->previous_salt()
-                << "\" but this binary is \"" << kStoreEngineSalt
-                << "\"; every stored record will be rejected and "
-                   "re-simulated (the salt is bumped by any change that "
-                   "alters simulation results; see src/exp/store.h)\n";
-    }
   }
 
   std::cerr << "sweep: " << jobs.size() << " jobs"
@@ -328,9 +294,9 @@ int cmd_sweep(const CliArgs& args) {
                 << q.error << "\n";
     }
   }
-  const int rc = res.quarantined().empty() ? kExitOk : kExitQuarantinedHoles;
+  const int rc = res.quarantined().empty() ? kExitOk : kExitQuarantined;
   if (!shard.empty()) {
-    // Shard output lives in the store; `sweep merge` assembles it.
+    // Shard output lives in the store; the unsharded rerun assembles it.
     return rc;
   }
   res.to_table().emit(csv);
@@ -339,68 +305,6 @@ int cmd_sweep(const CliArgs& args) {
     std::cout << "[json written to " << json << "]\n";
   }
   return rc;
-}
-
-/// `sweep merge`: reassembles a sweep entirely from the result store —
-/// the merge step after `--shard=i/N` runs, byte-identical (CSV/JSON) to
-/// a single-process run of the same matrix.
-int cmd_sweep_merge(const CliArgs& args) {
-  const SweepSpec spec = spec_from_args(args);
-  if (const int rc = check_apps(spec.apps)) return rc;
-  if (const int rc = check_scheds(spec.scheds)) return rc;
-  const std::string csv = args.get_output("csv", "");
-  const std::string json = args.get_output("json", "");
-  const std::string store_dir = args.get("store", "");
-  const bool allow_holes = args.get_bool("allow-holes", false);
-  // Execution-only sweep flags, accepted and ignored so the documented
-  // workflow — rerun the exact shard command line with `merge` in front —
-  // works verbatim (merge only loads records, it runs nothing).
-  args.get_int("jobs", 0);
-  args.get_bool("progress", false);
-  args.get_int("retries", 0);
-  args.get_int<uint64_t>("retry-backoff", 0);
-  args.get_bool("quarantine", true);
-  if (const int rc = args.check_unused()) return rc;
-  if (store_dir.empty()) {
-    std::cerr << "sweep merge: --store=DIR required\n";
-    return kExitUsage;
-  }
-  // Opening a store creates it; merge only reads, so a missing directory
-  // (a typo, a store never written) is reported, not created.
-  if (!std::filesystem::is_directory(store_dir)) {
-    std::cerr << "sweep merge: nothing to merge: " << store_dir
-              << " is not a directory\n";
-    return kExitUsage;
-  }
-  std::vector<SweepJob> jobs;
-  if (const int rc = expand_from_args(spec, &jobs)) return rc;
-  if (jobs.empty()) {
-    std::cerr << "sweep merge: empty job matrix "
-                 "(check --apps/--scheds/--cores)\n";
-    return kExitUsage;
-  }
-  ResultStore store(store_dir);
-  // Without --allow-holes this throws, listing the missing jobs — a merge
-  // never silently emits a partial matrix.
-  std::vector<MergeHole> holes;
-  const SweepResults res = load_all(store, jobs, allow_holes, &holes);
-  std::cerr << "sweep merge: assembled " << res.size() << " records from "
-            << store_dir << "\n";
-  if (!holes.empty()) {
-    std::cerr << "sweep merge: " << holes.size()
-              << " holes (no stored record; quarantined or never run):\n";
-    for (const MergeHole& h : holes) {
-      std::cerr << "  job " << h.index << ": " << h.key.app << "/"
-                << h.key.sched << "/cores=" << h.key.cores
-                << (h.key.tag.empty() ? "" : "/" + h.key.tag) << "\n";
-    }
-  }
-  res.to_table().emit(csv);
-  if (!json.empty()) {
-    res.write_json(json);
-    std::cout << "[json written to " << json << "]\n";
-  }
-  return holes.empty() ? kExitOk : kExitQuarantinedHoles;
 }
 
 /// `memory`: deterministic size report (no timing) for the paper-scale
@@ -475,21 +379,9 @@ int cmd_list(const CliArgs& args) {
   return 0;
 }
 
-int cmd_configs(const CliArgs& args) {
-  if (const int rc = args.check_unused()) return rc;
-  auto print = [](const char* title, const std::vector<CmpConfig>& v) {
-    std::cout << "\n" << title << "\n";
-    for (const auto& c : v) std::cout << "  " << c.describe() << "\n";
-  };
-  print("Table 2 (default, scaling technology):", default_configs());
-  print("Table 3 (45nm single technology):", single_tech_45nm_configs());
-  return 0;
-}
-
 int usage() {
-  std::cerr << "usage: cachesched_cli "
-               "{run|configs|list|sweep|"
-               "sweep merge|memory|paper} [options]\n"
+  std::cerr << "usage: cachesched_cli {run|list|sweep|memory|paper} "
+               "[options]\n"
                "see the header of tools/cachesched_cli.cc for options\n";
   return kExitUsage;
 }
@@ -500,15 +392,9 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
-    // `sweep merge` is the one two-word subcommand; its flags start
-    // after the word "merge".
-    const bool merge =
-        cmd == "sweep" && argc > 2 && std::string(argv[2]) == "merge";
-    CliArgs args(merge ? argc - 2 : argc - 1, merge ? argv + 2 : argv + 1);
+    CliArgs args(argc - 1, argv + 1);
     int rc;
-    if (merge) rc = cmd_sweep_merge(args);
-    else if (cmd == "run") rc = cmd_run(args);
-    else if (cmd == "configs") rc = cmd_configs(args);
+    if (cmd == "run") rc = cmd_run(args);
     else if (cmd == "list") rc = cmd_list(args);
     else if (cmd == "sweep") rc = cmd_sweep(args);
     else if (cmd == "memory") rc = cmd_memory(args);

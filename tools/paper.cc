@@ -322,10 +322,7 @@ void fig4(const Paper& p) {
     CmpConfig banked = default_config(kAxisCores).scaled(kScale);
     banked.l2_banks = kAxisCores;
     banked.name += "-banked";
-    CmpConfig mono = default_config(kAxisCores).scaled(kScale);
-    mono.l2_hit_cycles = 19;
     jobs.push_back(sweep_job(app, "ws", "banked", banked, app_options(kScale)));
-    jobs.push_back(sweep_job(app, "pdf", "mono", mono, app_options(kScale)));
     const SweepResults res = run_sweep(std::move(jobs), p.sweep());
 
     Table t({"l2_hit_cycles", "pdf_cycles", "ws_cycles", "pdf_vs_ws"});
@@ -347,8 +344,12 @@ void fig4(const Paper& p) {
               << verdict(pdf_slowest <= ws_fastest) << "\n";
     const uint64_t ws_banked =
         res.find(app, "ws", kAxisCores, "banked")->result.cycles;
+    // PDF on the monolithic L2 is the hit19 point: the 16-core default
+    // config already has a 19-cycle L2 (Table 2), so a separate job would
+    // differ from it only in its tag and config name, which no simulated
+    // cycle depends on.
     const uint64_t pdf_mono =
-        res.find(app, "pdf", kAxisCores, "mono")->result.cycles;
+        res.find(app, "pdf", kAxisCores, "hit19")->result.cycles;
     std::cout << "PDF on monolithic 19-cycle L2 vs WS on banked distributed "
                  "L2: "
               << Table::num(ratio(ws_banked, pdf_mono), 3) << "x "
