@@ -313,29 +313,34 @@ bool ResultStore::load(const StoreKey& key, SweepRecord* rec) {
 namespace {
 
 /// Writes `text` to `path` and fsyncs it — the durable half of the
-/// atomic tmp+fsync+rename protocol. A failure throws TransientError and
-/// may leave a partial temp file behind; loads never read temp names, and
-/// it is never renamed into place.
-void write_tmp_durable(const std::string& path, const std::string& text) {
+/// atomic tmp+fsync+rename protocol. A failure returns false with the
+/// reason in *why and may leave a partial temp file behind; loads never
+/// read temp names, and it is never renamed into place.
+bool write_tmp_durable(const std::string& path, const std::string& text,
+                       std::string* why) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
-    throw TransientError("result store: cannot open " + path);
+    *why = "cannot open " + path;
+    return false;
   }
   size_t off = 0;
   while (off < text.size()) {
     const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
     if (n < 0) {
       ::close(fd);
-      throw TransientError("result store: cannot write " + path);
+      *why = "cannot write " + path;
+      return false;
     }
     off += static_cast<size_t>(n);
   }
   if (::fsync(fd) != 0) {
     ::close(fd);
-    throw TransientError("result store: fsync failed on " + path);
+    *why = "fsync failed on " + path;
+    return false;
   }
   ::close(fd);
+  return true;
 }
 
 /// Makes the rename of an entry into `dir` durable. Best-effort: some
@@ -351,15 +356,21 @@ void fsync_dir(const fs::path& dir) {
 
 }  // namespace
 
-void ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
+bool ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
+  auto fail = [this](const std::string& why) {
+    std::fprintf(stderr, "result store: %s; not stored, will re-simulate\n",
+                 why.c_str());
+    std::lock_guard<std::mutex> lock(impl_->mu);
+    ++impl_->stats.failed_puts;
+    return false;
+  };
   const std::string text = serialize_entry(key, rec);
   const fs::path final_path = path_for(key);
   std::error_code ec;
   fs::create_directories(final_path.parent_path(), ec);
   if (ec) {
-    throw TransientError("result store: cannot create " +
-                         final_path.parent_path().string() + ": " +
-                         ec.message());
+    return fail("cannot create " + final_path.parent_path().string() + ": " +
+                ec.message());
   }
   // Unique temp name: the (store address, sequence) pair distinguishes
   // writes within a process, and the key hex distinguishes concurrent
@@ -370,17 +381,18 @@ void ResultStore::put(const StoreKey& key, const SweepRecord& rec) {
   tmp_name << "tmp-" << reinterpret_cast<uintptr_t>(impl_.get()) << '-'
            << impl_->tmp_seq.fetch_add(1) << '-' << key.hex();
   const fs::path tmp_path = fs::path(dir_) / tmp_name.str();
-  write_tmp_durable(tmp_path.string(), text);
+  std::string why;
+  if (!write_tmp_durable(tmp_path.string(), text, &why)) return fail(why);
   fs::rename(tmp_path, final_path, ec);
   if (ec) {
-    const std::string why = ec.message();
+    why = "cannot rename into " + final_path.string() + ": " + ec.message();
     fs::remove(tmp_path, ec);
-    throw TransientError("result store: cannot rename into " +
-                         final_path.string() + ": " + why);
+    return fail(why);
   }
   fsync_dir(final_path.parent_path());
   std::lock_guard<std::mutex> lock(impl_->mu);
   ++impl_->stats.puts;
+  return true;
 }
 
 ResultStore::Stats ResultStore::stats() const {

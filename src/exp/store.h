@@ -30,9 +30,11 @@
 // entry under a final name. Loads treat truncated, corrupted,
 // wrong-version and wrong-salt entries as misses (counted in
 // Stats::corrupt) and the sweep transparently re-simulates and rewrites
-// them. A put() that fails on I/O throws TransientError, which the sweep
-// engine's bounded retry understands; a temp file that a failed write or
-// a crash leaves behind is never read and never renamed into place.
+// them. A put() that fails on I/O fails soft the same way: it is logged,
+// counted in Stats::failed_puts and returns false. An entry is only a
+// cache of a deterministic result, so the sweep keeps the record and the
+// next run re-simulates the job. A temp file that a failed write or a
+// crash leaves behind is never read and never renamed into place.
 //
 // Invalidation rule: any change that alters simulation results —
 // engine timing, scheduler behavior, workload generation — must bump
@@ -88,11 +90,12 @@ uint64_t fnv1a64(const std::string& data);
 class ResultStore {
  public:
   struct Stats {
-    size_t hits = 0;     // loads served from disk
-    size_t misses = 0;   // loads with no entry
-    size_t corrupt = 0;  // entries rejected (checksum/version/key); also
-                         // counted in misses
-    size_t puts = 0;     // records written
+    size_t hits = 0;         // loads served from disk
+    size_t misses = 0;       // loads with no entry
+    size_t corrupt = 0;      // entries rejected (checksum/version/key); also
+                             // counted in misses
+    size_t puts = 0;         // records written
+    size_t failed_puts = 0;  // puts that failed on I/O; no entry written
   };
 
   /// Opens (creating if needed) the store rooted at `dir`. Throws
@@ -108,16 +111,18 @@ class ResultStore {
 
   /// Atomically and durably persists `rec` under `key` (temp file +
   /// fsync + rename + directory fsync; last writer wins, which is safe
-  /// because equal keys imply equal records). Throws TransientError on
-  /// write/rename failure — retryable, the entry is simply absent.
+  /// because equal keys imply equal records) and returns true. On a
+  /// write or rename failure, logs it to stderr, counts it in
+  /// Stats::failed_puts and returns false: the entry is simply absent.
   /// Thread-safe.
-  void put(const StoreKey& key, const SweepRecord& rec);
+  bool put(const StoreKey& key, const SweepRecord& rec);
 
   /// Final on-disk path of `key`'s entry.
   std::string path_for(const StoreKey& key) const;
 
-  /// Hit/miss/corrupt/put counters since construction. Not synchronized
-  /// with concurrent load/put calls — read after the sweep drains.
+  /// Hit/miss/corrupt/put/failed-put counters since construction. Not
+  /// synchronized with concurrent load/put calls — read after the sweep
+  /// drains.
   Stats stats() const;
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <exception>
 #include <fstream>
 #include <memory>
@@ -152,41 +151,8 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
   }
 
   size_t completed = 0;  // guarded by mu, so callbacks see monotonic counts
-  std::mutex mu;         // guards completed, callbacks, first_error and
-                         // the quarantine list
+  std::mutex mu;         // guards completed, callbacks and first_error
   std::exception_ptr first_error;
-  std::vector<QuarantinedJob> quarantined;
-  std::atomic<size_t> retries{0};
-
-  // Retry wrapper around one unit of work (a workload build or a job's
-  // store put). Returns true on success. TransientError is retried with
-  // exponential backoff up to job_retries times; an exhausted transient
-  // is recorded into *err (and returns false) when quarantine is on,
-  // rethrown otherwise. Anything else — bad specs, logic errors —
-  // propagates untouched.
-  auto try_unit = [&](auto&& fn, std::string* err) -> bool {
-    for (int attempt = 0;; ++attempt) {
-      try {
-        fn();
-        return true;
-      } catch (const TransientError& e) {
-        if (attempt < options.job_retries) {
-          retries.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(std::chrono::milliseconds(
-              options.retry_backoff_ms << std::min(attempt, 10)));
-          continue;
-        }
-        if (!options.quarantine) throw;
-        *err = e.what();
-        return false;
-      }
-    }
-  };
-
-  auto add_quarantine = [&](size_t job_index, const std::string& err) {
-    std::lock_guard<std::mutex> lock(mu);
-    quarantined.push_back({job_index, jobs[job_index].key(), err});
-  };
 
   // Store lookup: jobs whose full identity already has a persisted
   // record load it and skip the build/simulate phases entirely. Hits are
@@ -245,36 +211,14 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
     if (first_error) std::rethrow_exception(first_error);
   };
 
-  // Persists a freshly simulated record (when a store is attached), then
-  // reports it. Factory jobs have no store key and are never persisted.
+  // Puts a freshly simulated record (when a store is attached), then
+  // reports it. A failed put is counted by the store; the record stays.
+  // Factory jobs have no store key and are never put.
   auto finish = [&](size_t i) {
-    if (options.store && !keys.empty() && keys[i]) {
-      options.store->put(*keys[i], records[i]);
-    }
+    if (options.store && keys[i]) options.store->put(*keys[i], records[i]);
     std::lock_guard<std::mutex> lock(mu);
     ++completed;
     if (options.on_result) options.on_result(records[i], completed, total);
-  };
-
-  // Assembles the final results: quarantined jobs (if any) are dropped
-  // from the record list and reported alongside it, in job order.
-  auto finalize = [&]() -> SweepResults {
-    std::sort(quarantined.begin(), quarantined.end(),
-              [](const QuarantinedJob& a, const QuarantinedJob& b) {
-                return a.index < b.index;
-              });
-    const size_t n_retries = retries.load(std::memory_order_relaxed);
-    if (quarantined.empty()) {
-      return SweepResults(std::move(records), {}, n_retries);
-    }
-    std::vector<char> dropped(total, 0);
-    for (const QuarantinedJob& q : quarantined) dropped[q.index] = 1;
-    std::vector<SweepRecord> kept;
-    kept.reserve(total - quarantined.size());
-    for (size_t i = 0; i < total; ++i) {
-      if (!dropped[i]) kept.push_back(std::move(records[i]));
-    }
-    return SweepResults(std::move(kept), std::move(quarantined), n_retries);
   };
 
   // Phase 1 — hash-cons workloads: one build slot per unique workload key
@@ -310,55 +254,32 @@ SweepResults run_sweep(std::vector<SweepJob> jobs,
   for (size_t s = 0; s < num_slots; ++s) slot_jobs_left[s] = 0;
   for (size_t k = 0; k < num_pending; ++k) ++slot_jobs_left[slot_of[k]];
 
-  // A slot whose build exhausts retries quarantines every job that would
-  // have shared it (they cannot run without the workload).
-  std::vector<std::string> slot_error(num_slots);
-  std::vector<char> slot_failed(num_slots, 0);
   parallel_for(num_slots, [&](size_t i) {
-    std::string err;
-    const bool ok = try_unit(
-        [&] {
-          built[i] = std::make_shared<const Workload>(build_one(*slot_job[i]));
-          if (options.on_workload_built) {
-            std::lock_guard<std::mutex> lock(mu);
-            options.on_workload_built(slot_job[i]->app);
-          }
-        },
-        &err);
-    if (!ok) {
-      slot_error[i] = err;
-      slot_failed[i] = 1;
+    built[i] = std::make_shared<const Workload>(build_one(*slot_job[i]));
+    if (options.on_workload_built) {
+      std::lock_guard<std::mutex> lock(mu);
+      options.on_workload_built(slot_job[i]->app);
     }
   });
 
   // Phase 2 — simulate. run_one never mutates the shared workload (the
   // engine takes const TaskDag&), so jobs of one slot are independent.
-  // Each job simulates once; a failed put retries only the put.
   parallel_for(num_pending, [&](size_t k) {
     const size_t i = pending[k];
     const size_t slot = slot_of[k];
-    if (slot_failed[slot]) {
-      add_quarantine(i, slot_error[slot]);
-    } else {
-      records[i] = run_one(jobs[i], *built[slot]);
-      std::string err;
-      if (!try_unit([&] { finish(i); }, &err)) add_quarantine(i, err);
-    }
+    records[i] = run_one(jobs[i], *built[slot]);
+    finish(i);
     if (slot_jobs_left[slot].fetch_sub(1) == 1) built[slot].reset();
   });
-  return finalize();
+  return SweepResults(std::move(records));
 }
 
 SweepResults run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   return run_sweep(expand(spec), options);
 }
 
-SweepResults::SweepResults(std::vector<SweepRecord> records,
-                           std::vector<QuarantinedJob> quarantined,
-                           size_t retries)
-    : records_(std::move(records)),
-      quarantined_(std::move(quarantined)),
-      retries_(retries) {
+SweepResults::SweepResults(std::vector<SweepRecord> records)
+    : records_(std::move(records)) {
   find_index_.reserve(records_.size());
   for (size_t i = 0; i < records_.size(); ++i) {
     // emplace keeps the first occurrence, matching the original

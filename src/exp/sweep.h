@@ -47,7 +47,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -180,10 +179,12 @@ struct SweepOptions {
   int workers = 0;
   /// Content-addressed result store (exp/store.h); non-null makes the
   /// sweep incremental: jobs whose full identity has a stored record
-  /// load it instead of simulating, and every simulated record is
-  /// persisted on completion. Results are byte-identical with or without
-  /// a store; the store's stats() report the hit/miss split. Jobs with a
-  /// `factory` have no serializable identity and always simulate.
+  /// load it instead of simulating, and every simulated record is put on
+  /// completion. A put that fails on I/O costs only the entry: the record
+  /// stays in the results, the store counts it in stats().failed_puts,
+  /// and the next run re-simulates the job. Results are byte-identical
+  /// with or without a store. Jobs with a `factory` have no serializable
+  /// identity and always simulate.
   ResultStore* store = nullptr;
   /// Called after each job finishes (serialized; `completed` counts
   /// finished jobs, not the record's index). Store hits are reported
@@ -193,44 +194,12 @@ struct SweepOptions {
   /// Test/diagnostics hook: called once per unique workload actually
   /// built (serialized), with the spec/label of the job that built it.
   std::function<void(const std::string& app)> on_workload_built;
-
-  /// Bounded retry for TransientError (a store write or rename that
-  /// failed): a job's store put, or a workload build, may be retried this
-  /// many times, sleeping retry_backoff_ms << attempt between tries; a
-  /// retried put reuses the record simulated once. Other exception types
-  /// are never retried.
-  int job_retries = 0;
-  uint64_t retry_backoff_ms = 10;
-  /// Record jobs that exhaust their retries in SweepResults::quarantined()
-  /// and keep sweeping, instead of failing the whole matrix on the first
-  /// bad job. The default, false, is fail-fast.
-  bool quarantine = false;
-};
-
-/// An operation that may succeed if repeated: ResultStore::put throws it
-/// on a real I/O failure (the entry is then simply absent). The sweep
-/// retries it per SweepOptions::job_retries and quarantines the job once
-/// the retries are spent.
-class TransientError : public std::runtime_error {
- public:
-  explicit TransientError(const std::string& what)
-      : std::runtime_error(what) {}
-};
-
-/// A job the sweep gave up on: it exhausted its transient-error retries.
-/// Recorded instead of aborting the matrix when SweepOptions::quarantine
-/// is set; its record is absent from records().
-struct QuarantinedJob {
-  size_t index = 0;  // position in the submitted job list
-  JobKey key;
-  std::string error;
 };
 
 class SweepResults {
  public:
   SweepResults() = default;
-  SweepResults(std::vector<SweepRecord> records,
-               std::vector<QuarantinedJob> quarantined, size_t retries);
+  explicit SweepResults(std::vector<SweepRecord> records);
 
   const std::vector<SweepRecord>& records() const { return records_; }
   bool empty() const { return records_.empty(); }
@@ -256,20 +225,14 @@ class SweepResults {
 
   void write_json(const std::string& path) const;
 
-  /// Jobs dropped under SweepOptions::quarantine, in job order. Empty
-  /// unless quarantine was enabled and jobs actually failed.
-  const std::vector<QuarantinedJob>& quarantined() const {
-    return quarantined_;
-  }
-
-  /// Transient-error retries performed across the sweep (diagnostic; a
-  /// retried job that eventually succeeded is NOT quarantined).
-  size_t retries() const { return retries_; }
+  /// Always empty and 0: a sweep neither quarantines nor retries a job.
+  /// Kept only because perfbench's paper-sweep workload reads them for
+  /// its exp.quarantined and exp.retries metrics.
+  std::vector<JobKey> quarantined() const { return {}; }
+  size_t retries() const { return 0; }
 
  private:
   std::vector<SweepRecord> records_;
-  std::vector<QuarantinedJob> quarantined_;
-  size_t retries_ = 0;
   /// JobKey -> index of the first matching record; built at construction
   /// (the paper artifacts look up every sweep point, which was quadratic
   /// with a linear scan per lookup).
@@ -277,12 +240,12 @@ class SweepResults {
 };
 
 /// Runs `jobs` on a worker pool; records are in job order regardless of
-/// worker count. The first exception thrown by a job (unknown app or
-/// scheduler, bad scale, ...) is rethrown after the pool drains — except
-/// TransientError, which is retried per job_retries and then quarantined
-/// when enabled. A process killed mid-sweep loses only its in-flight
-/// jobs: every record already put is durable, and a rerun against the
-/// same store simulates only what is missing.
+/// worker count, and every job has one. The first exception thrown by a
+/// workload build or a simulation (unknown app or scheduler, bad scale,
+/// ...) is rethrown after the pool drains. A failed store put is not an
+/// exception (see SweepOptions::store). A process killed mid-sweep loses
+/// only its in-flight jobs: every record already put is durable, and a
+/// rerun against the same store simulates only what is missing.
 SweepResults run_sweep(std::vector<SweepJob> jobs,
                        const SweepOptions& options = {});
 

@@ -20,13 +20,12 @@ namespace cachesched {
 /// kExitUsage-compatible 2 for unknown flags and malformed values.
 enum ExitCode : int {
   kExitOk = 0,
-  /// Runtime failure: simulation error, I/O error, bad input data.
+  /// Runtime failure: simulation error, I/O error, bad input data. A
+  /// sweep whose store puts failed exits with it after writing its full
+  /// output.
   kExitRuntime = 1,
   /// Usage error: unknown flag/subcommand, malformed spec string.
   kExitUsage = 2,
-  /// The sweep finished but some jobs were quarantined — output exists
-  /// but is incomplete; rerunning the sweep on its store fills it.
-  kExitQuarantined = 3,
 };
 
 /// Typed getters never throw. A value that does not parse as the type

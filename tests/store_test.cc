@@ -341,43 +341,47 @@ fs::path fanout_of(const ResultStore& store, const StoreKey& key) {
 
 // A regular file where the fanout directory belongs is a real I/O
 // failure no permission bit can undo (tests may run as root): put()
-// throws TransientError and writes no entry, and the put lands once the
-// obstacle is gone.
-TEST_F(StoreTest, PutIntoABlockedFanoutIsTransientAndRetriable) {
+// fails soft — returns false, counts a failed put and writes no entry —
+// and the put lands once the obstacle is gone.
+TEST_F(StoreTest, PutIntoABlockedFanoutFailsSoftAndLandsLater) {
   std::optional<StoreKey> key;
   const SweepRecord rec = one_record(&key);
   ASSERT_TRUE(key);
   ResultStore store(dir());
   write_file(fanout_of(store, *key), "not a directory");
-  EXPECT_THROW(store.put(*key, rec), TransientError);
+  EXPECT_FALSE(store.put(*key, rec));
   EXPECT_FALSE(fs::exists(store.path_for(*key)));
   EXPECT_TRUE(entry_files(dir_).empty());
   EXPECT_EQ(store.stats().puts, 0u);
+  EXPECT_EQ(store.stats().failed_puts, 1u);
 
   fs::remove(fanout_of(store, *key));
-  store.put(*key, rec);
+  EXPECT_TRUE(store.put(*key, rec));
+  EXPECT_EQ(store.stats().puts, 1u);
+  EXPECT_EQ(store.stats().failed_puts, 1u);
   SweepRecord out;
   ASSERT_TRUE(store.load(*key, &out));
   EXPECT_EQ(out.result, rec.result);
 }
 
 // A directory under the entry's final name makes the rename fail after
-// the temp file is written and synced: put() throws TransientError and
-// removes its temp file, so a failed put leaves nothing behind.
-TEST_F(StoreTest, FailedRenameIsTransientAndLeavesNoTempFile) {
+// the temp file is written and synced: put() returns false and removes
+// its temp file, so a failed put leaves nothing behind.
+TEST_F(StoreTest, FailedRenameLeavesNoTempFile) {
   std::optional<StoreKey> key;
   const SweepRecord rec = one_record(&key);
   ASSERT_TRUE(key);
   ResultStore store(dir());
   const fs::path final_path = store.path_for(*key);
   fs::create_directories(final_path);
-  EXPECT_THROW(store.put(*key, rec), TransientError);
+  EXPECT_FALSE(store.put(*key, rec));
   EXPECT_EQ(tmp_files(dir_), 0u);
   EXPECT_TRUE(fs::is_directory(final_path));
   EXPECT_EQ(store.stats().puts, 0u);
+  EXPECT_EQ(store.stats().failed_puts, 1u);
 
   fs::remove(final_path);
-  store.put(*key, rec);
+  EXPECT_TRUE(store.put(*key, rec));
   EXPECT_EQ(tmp_files(dir_), 0u);
   SweepRecord out;
   ASSERT_TRUE(store.load(*key, &out));
@@ -424,60 +428,49 @@ TEST_F(StoreTest, TornTempFileIsNeverAnEntry) {
   EXPECT_EQ(out.result, rec.result);
 }
 
-// The failure model end to end: puts that fail on I/O exhaust their
-// retries and quarantine exactly their jobs, which quarantined() names;
-// and a resume once the obstacle is gone simulates only those jobs,
-// ending byte-identical to a sweep that never failed. Two workers, so
-// TSan sees the pool.
-TEST_F(StoreTest, FailedPutsQuarantineThenResumeFillsTheHoles) {
+// The failure model end to end: a put that fails on I/O costs only its
+// entry. The sweep keeps every record, so its output equals a storeless
+// run's, and the store counts exactly the blocked jobs as failed puts;
+// once the obstacle is gone, a rerun loads the rest and simulates and
+// puts only those jobs. Two workers, so TSan sees the pool.
+TEST_F(StoreTest, FailedPutsKeepTheirRecordsAndARerunFillsTheStore) {
   const auto jobs = expand(small_spec());
   const SweepResults plain = run_sweep(jobs, {.workers = 1});
 
   fs::path blocked;
-  std::vector<size_t> blocked_jobs;
+  size_t num_blocked = 0;
   {
     // Block the fanout directory of job 0; every job hashed under it
     // fails its put.
     ResultStore store(dir());
     blocked = fanout_of(store, *store_key(jobs[0]));
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (fanout_of(store, *store_key(jobs[i])) == blocked) {
-        blocked_jobs.push_back(i);
-      }
+    for (const SweepJob& job : jobs) {
+      if (fanout_of(store, *store_key(job)) == blocked) ++num_blocked;
     }
-    ASSERT_LT(blocked_jobs.size(), jobs.size());
+    ASSERT_LT(num_blocked, jobs.size());
     write_file(blocked, "not a directory");
     SweepOptions opt;
     opt.workers = 2;
-    opt.job_retries = 1;
-    opt.retry_backoff_ms = 1;
-    opt.quarantine = true;
     opt.store = &store;
     const SweepResults res = run_sweep(jobs, opt);
-    std::vector<size_t> quarantined;
-    for (const QuarantinedJob& q : res.quarantined()) {
-      quarantined.push_back(q.index);
-      EXPECT_EQ(q.key, jobs[q.index].key());
-      EXPECT_NE(q.error.find("result store: cannot create"), std::string::npos)
-          << q.error;
-    }
-    EXPECT_EQ(quarantined, blocked_jobs);
-    EXPECT_EQ(res.retries(), blocked_jobs.size());
-    EXPECT_EQ(res.size(), jobs.size() - blocked_jobs.size());
-    EXPECT_EQ(store.stats().puts, jobs.size() - blocked_jobs.size());
+    EXPECT_EQ(res.to_table().to_csv(), plain.to_table().to_csv());
+    EXPECT_EQ(res.to_json(), plain.to_json());
+    EXPECT_EQ(store.stats().failed_puts, num_blocked);
+    EXPECT_EQ(store.stats().puts, jobs.size() - num_blocked);
+    EXPECT_EQ(tmp_files(dir_), 0u);
   }
   fs::remove(blocked);
   ResultStore store(dir());
   SweepOptions opt;
   opt.workers = 2;
   opt.store = &store;
-  const SweepResults resumed = run_sweep(jobs, opt);
-  EXPECT_EQ(store.stats().hits, jobs.size() - blocked_jobs.size());
-  EXPECT_EQ(store.stats().puts, blocked_jobs.size());
+  const SweepResults rerun = run_sweep(jobs, opt);
+  EXPECT_EQ(store.stats().hits, jobs.size() - num_blocked);
+  EXPECT_EQ(store.stats().puts, num_blocked);
+  EXPECT_EQ(store.stats().failed_puts, 0u);
   EXPECT_EQ(store.stats().corrupt, 0u);
-  EXPECT_TRUE(resumed.quarantined().empty());
-  EXPECT_EQ(resumed.to_table().to_csv(), plain.to_table().to_csv());
-  EXPECT_EQ(resumed.to_json(), plain.to_json());
+  EXPECT_EQ(rerun.to_table().to_csv(), plain.to_table().to_csv());
+  EXPECT_EQ(rerun.to_json(), plain.to_json());
 }
 
 TEST(ShardTest, ParseShardAcceptsValidRejectsInvalid) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <stdexcept>
 
 #include "exp/sweep.h"
@@ -202,7 +201,7 @@ TEST(SweepCache, SharedMatchesFreshBuildByteForByte) {
   for (const SweepJob& job : expand(spec)) {
     fresh.push_back(run_sweep({job}, {.workers = 1})[0]);
   }
-  const SweepResults baseline(std::move(fresh), {}, 0);
+  const SweepResults baseline(std::move(fresh));
   for (int workers : {1, 4}) {
     SweepOptions opt;
     opt.workers = workers;
@@ -271,77 +270,6 @@ TEST(SweepRun, OnResultSeesEveryJobExactlyOnce) {
   const SweepResults res = run_sweep(spec, opt);
   EXPECT_EQ(calls.load(), res.size());
   EXPECT_EQ(last_total, res.size());
-}
-
-// ------------------------------------------------------------ retries
-
-SweepSpec retry_spec() {
-  SweepSpec spec = small_spec();
-  spec.apps = {"matmul", "mergesort"};
-  spec.scheds = {"pdf"};
-  return spec;
-}
-
-/// `jobs` with a factory that throws TransientError on its job's first
-/// `failures` builds and then builds the job's own workload, so a sweep
-/// that retries past the failures emits exactly the plain sweep's records.
-std::vector<SweepJob> flaky(std::vector<SweepJob> jobs, int failures) {
-  for (SweepJob& job : jobs) {
-    auto left = std::make_shared<std::atomic<int>>(failures);
-    job.factory = [app = job.app, left](const CmpConfig& cfg,
-                                        const AppOptions& o) {
-      if (left->fetch_sub(1) > 0) {
-        throw TransientError("flaky build of " + app);
-      }
-      return make_workload(app, cfg, o);
-    };
-  }
-  return jobs;
-}
-
-TEST(SweepRetry, RetriesMaskTransientErrorsByteIdentically) {
-  const auto jobs = expand(retry_spec());
-  const SweepResults plain = run_sweep(jobs, {.workers = 1});
-  SweepOptions opt;
-  opt.workers = 2;
-  opt.job_retries = 2;
-  opt.retry_backoff_ms = 1;
-  opt.quarantine = true;
-  const SweepResults res = run_sweep(flaky(jobs, 2), opt);
-  EXPECT_TRUE(res.quarantined().empty());
-  EXPECT_EQ(res.retries(), 2 * jobs.size());
-  EXPECT_EQ(res.to_table().to_csv(), plain.to_table().to_csv());
-  EXPECT_EQ(res.to_json(), plain.to_json());
-}
-
-TEST(SweepRetry, ExhaustedRetriesQuarantineTheJob) {
-  auto jobs = expand(retry_spec());
-  const size_t bad = 1;
-  jobs[bad] = flaky({jobs[bad]}, 1000)[0];
-  SweepOptions opt;
-  opt.workers = 2;
-  opt.job_retries = 2;
-  opt.retry_backoff_ms = 1;
-  opt.quarantine = true;
-  const SweepResults res = run_sweep(jobs, opt);
-  ASSERT_EQ(res.quarantined().size(), 1u);
-  const QuarantinedJob& q = res.quarantined()[0];
-  EXPECT_EQ(q.index, bad);
-  EXPECT_EQ(q.key, jobs[bad].key());
-  EXPECT_EQ(q.error, "flaky build of " + jobs[bad].app);
-  EXPECT_EQ(res.retries(), 2u);
-  ASSERT_EQ(res.size(), jobs.size() - 1);
-  EXPECT_EQ(res.find(jobs[bad].key()), nullptr);
-}
-
-TEST(SweepRetry, ExhaustedRetriesFailFastWithoutQuarantine) {
-  SweepOptions opt;
-  opt.workers = 1;
-  opt.job_retries = 1;
-  opt.retry_backoff_ms = 1;
-  opt.quarantine = false;  // the library default: the first failure aborts
-  EXPECT_THROW(run_sweep(flaky(expand(retry_spec()), 1000), opt),
-               TransientError);
 }
 
 TEST(SweepResultsOutput, TableAndJsonContainEveryRecord) {

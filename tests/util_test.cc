@@ -103,8 +103,8 @@ TEST(Cli, MalformedValuesAreUsageErrors) {
     });
   }
   for (const std::string v : {"flase", "TRUE", "2", ""}) {
-    expect_bad("quarantine", v,
-               [](const CliArgs& a) { return a.get_bool("quarantine", true); });
+    expect_bad("seq", v,
+               [](const CliArgs& a) { return a.get_bool("seq", true); });
   }
   for (const std::string v : {"1,2,x", "1,4294967304", ","}) {
     expect_bad("cores", v, [](const CliArgs& a) {

@@ -15,13 +15,12 @@
 //                        jobs from the content-addressed result store,
 //                        simulate + persist only the rest. Rerunning the
 //                        same command resumes a killed sweep; rerunning it
-//                        without --shard assembles a sharded one.
+//                        without --shard assembles a sharded one. A put
+//                        that fails is logged and counted; the sweep
+//                        still writes its full output, then exits 1, and
+//                        the next run re-simulates those jobs.
 //   cachesched_cli sweep ... --store=DIR --shard=i/N  # simulate only
 //                        shard i of the matrix into the shared store
-//   cachesched_cli sweep ... [--retries=N] [--retry-backoff=MS]
-//                        [--quarantine=BOOL]  # a failed store write is
-//                        retried with backoff; a job that exhausts its
-//                        retries is reported and skipped (exit 3).
 //   cachesched_cli memory [--apps=mergesort] [--scale=1.0] [--cores=8]
 //                        [--task-ws=BYTES]  # deterministic report of
 //                        the bytes a DAG stores (trace arena + task
@@ -42,11 +41,11 @@
 // --dispatch) are parsed once into a ConfigOverrides (simarch/config.h)
 // and accepted by run and sweep alike.
 //
-// Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage
-// error (unknown flags/subcommands, malformed flag values including an
-// output file whose directory does not exist, bad spec strings, a --tech
-// or --cores the configuration tables do not list), 3 sweep completed
-// with quarantined jobs.
+// Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error
+// (including a sweep whose store puts failed), 2 usage error (unknown
+// flags/subcommands, malformed flag values including an output file whose
+// directory does not exist or a bad --shard, bad spec strings, a --tech
+// or --cores the configuration tables do not list).
 // Errors go to stderr. Every subcommand rejects these usage errors (exit
 // 2) before it builds a workload or writes a file.
 #include <cstdio>
@@ -121,10 +120,10 @@ int check_scheds(const std::vector<std::string>& scheds) {
       (void)make_scheduler(spec);
     } catch (const std::invalid_argument& e) {
       std::cerr << "cachesched_cli: " << e.what() << "\n";
-      return 2;
+      return kExitUsage;
     }
   }
-  return 0;
+  return kExitOk;
 }
 
 /// Validates workload specs whole (name and params) up front, like
@@ -213,12 +212,6 @@ int cmd_sweep(const CliArgs& args) {
 
   SweepOptions opt;
   opt.workers = args.get_int("jobs", 0);
-  opt.job_retries = args.get_int("retries", 0);
-  opt.retry_backoff_ms = args.get_int<uint64_t>("retry-backoff", 10);
-  // The CLI is sweep-as-a-service: one bad job is reported and skipped
-  // (exit 3) rather than aborting the whole matrix. The library default
-  // stays fail-fast; pass --quarantine=false to get it back.
-  opt.quarantine = args.get_bool("quarantine", true);
   if (args.get_bool("progress", false)) {
     opt.on_result = [](const SweepRecord& r, size_t done, size_t total) {
       std::fprintf(stderr, "[%zu/%zu] %s/%s cores=%d done\n", done, total,
@@ -243,10 +236,13 @@ int cmd_sweep(const CliArgs& args) {
     return kExitUsage;
   }
 
-  // A tech or core count the tables do not list, or a bad scale, is a
-  // usage error: reported, exit 2, before anything is built.
+  // A bad shard, a tech or core count the tables do not list, or a bad
+  // scale is a usage error: reported, exit 2, before anything is built
+  // or created.
+  std::pair<size_t, size_t> part;
   std::vector<SweepJob> jobs;
   try {
+    if (!shard.empty()) part = parse_shard(shard);
     jobs = expand(spec);
   } catch (const std::invalid_argument& e) {
     std::cerr << "sweep: " << e.what() << "\n";
@@ -257,10 +253,7 @@ int cmd_sweep(const CliArgs& args) {
     return kExitUsage;
   }
   const size_t full_matrix = jobs.size();
-  if (!shard.empty()) {
-    const auto [i, n] = parse_shard(shard);
-    jobs = shard_jobs(jobs, i, n);
-  }
+  if (!shard.empty()) jobs = shard_jobs(jobs, part.first, part.second);
 
   std::optional<ResultStore> store;
   if (!store_dir.empty()) {
@@ -275,26 +268,16 @@ int cmd_sweep(const CliArgs& args) {
             << " (" << (opt.workers > 0 ? std::to_string(opt.workers) : "auto")
             << " workers)\n";
   const SweepResults res = run_sweep(jobs, opt);
+  int rc = kExitOk;
   if (store) {
     const ResultStore::Stats s = store->stats();
     std::cerr << "sweep: store " << store_dir << ": " << s.hits
               << " store hits, " << (jobs.size() - s.hits) << " simulated";
     if (s.corrupt) std::cerr << " (" << s.corrupt << " rejected entries)";
+    if (s.failed_puts) std::cerr << " (" << s.failed_puts << " failed puts)";
     std::cerr << "\n";
+    if (s.failed_puts) rc = kExitRuntime;
   }
-  if (res.retries() > 0) {
-    std::cerr << "sweep: " << res.retries() << " job retries\n";
-  }
-  if (!res.quarantined().empty()) {
-    std::cerr << "sweep: " << res.quarantined().size() << " quarantined:\n";
-    for (const QuarantinedJob& q : res.quarantined()) {
-      std::cerr << "  job " << q.index << ": " << q.key.app << "/"
-                << q.key.sched << "/cores=" << q.key.cores
-                << (q.key.tag.empty() ? "" : "/" + q.key.tag) << ": "
-                << q.error << "\n";
-    }
-  }
-  const int rc = res.quarantined().empty() ? kExitOk : kExitQuarantined;
   if (!shard.empty()) {
     // Shard output lives in the store; the unsharded rerun assembles it.
     return rc;
@@ -348,7 +331,7 @@ int cmd_memory(const CliArgs& args) {
   std::cout << "DAG memory at scale " << scale << " (cores=" << cores
             << "):\n";
   t.emit();
-  return 0;
+  return kExitOk;
 }
 
 int cmd_list(const CliArgs& args) {
@@ -376,7 +359,7 @@ int cmd_list(const CliArgs& args) {
     t.add_row({name, kind});
   }
   t.emit();
-  return 0;
+  return kExitOk;
 }
 
 int usage() {
