@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "core/dag.h"
-#include "sched/pdf_scheduler.h"
+#include "sched/priority_scheduler.h"
 #include "sched/ws_scheduler.h"
 #include "simarch/config.h"
 #include "simarch/engine.h"
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(dag.total_refs()));
 
   for (int use_ws = 0; use_ws < 2; ++use_ws) {
-    PdfScheduler pdf;
+    PriorityScheduler pdf;  // its default order is PDF
     WsScheduler ws;
     Scheduler& sched = use_ws ? static_cast<Scheduler&>(ws) : pdf;
     CmpSimulator sim(cfg);

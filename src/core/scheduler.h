@@ -63,7 +63,9 @@ class Scheduler {
     (void)t;
   }
 
-  /// True if no task is currently queued (used for greediness asserts).
+  /// True if no task is currently queued. Tests read it, and perfbench
+  /// counts an acquire() that returns kNoTask while work is queued as a
+  /// deferred acquire.
   virtual bool empty() const = 0;
 
   virtual const char* name() const = 0;

@@ -34,7 +34,8 @@ std::string StoreKey::hex() const {
 
 // Key anatomy (fields joined with '\x1e', the record separator):
 //   salt \x1e workload key \x1e job key (app/sched/cores/tag)
-//        \x1e override-style timing serialization (ConfigOverrides)
+//        \x1e the four override-able timing fields, e.g.
+//              "l2_hit=13,mem_latency=300,banks=0,dispatch=100"
 //        \x1e the remaining timing fields + config name
 // The workload key covers spec, AppOptions and capacity/geometry; the
 // two timing sections cover every remaining result-affecting CmpConfig
@@ -45,9 +46,11 @@ std::optional<StoreKey> store_key(const SweepJob& job) {
   const CmpConfig& c = job.config;
   std::ostringstream os;
   os << kStoreEngineSalt << '\x1e' << workload_key(job).str() << '\x1e'
-     << job.key().str() << '\x1e' << ConfigOverrides::capture(c).serialize()
-     << '\x1e' << c.name << '\x1f' << c.l2_local_hit_cycles << '\x1f'
-     << c.bank_hop_cycles << '\x1f' << c.mem_service_cycles;
+     << job.key().str() << '\x1e' << "l2_hit=" << c.l2_hit_cycles
+     << ",mem_latency=" << c.mem_latency_cycles << ",banks=" << c.l2_banks
+     << ",dispatch=" << c.task_dispatch_cycles << '\x1e' << c.name << '\x1f'
+     << c.l2_local_hit_cycles << '\x1f' << c.bank_hop_cycles << '\x1f'
+     << c.mem_service_cycles;
   StoreKey key;
   key.repr = os.str();
   key.hash = fnv1a64(key.repr);

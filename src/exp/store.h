@@ -120,9 +120,9 @@ class ResultStore {
   /// Final on-disk path of `key`'s entry.
   std::string path_for(const StoreKey& key) const;
 
-  /// Hit/miss/corrupt/put/failed-put counters since construction. Not
-  /// synchronized with concurrent load/put calls — read after the sweep
-  /// drains.
+  /// Hit/miss/corrupt/put/failed-put counters since construction. Takes
+  /// the store's lock, so a sweep may call it while running; its totals
+  /// are final once it drains.
   Stats stats() const;
 
  private:

@@ -6,7 +6,9 @@ namespace cachesched {
 
 void PriorityScheduler::reset(const TaskDag& dag, const SchedContext& ctx) {
   (void)ctx;
-  heap_ = {};
+  heap_.clear();
+  keys_.clear();
+  if (opt_.key == Key::kId && opt_.order == Order::kMin) return;  // PDF
   const size_t n = dag.num_tasks();
   keys_.assign(n, 0);
   switch (opt_.key) {
@@ -40,14 +42,18 @@ void PriorityScheduler::reset(const TaskDag& dag, const SchedContext& ctx) {
 
 void PriorityScheduler::enqueue_ready(int core, std::span<const TaskId> ready) {
   (void)core;
-  for (TaskId t : ready) heap_.emplace(keys_[t], t);
+  for (TaskId t : ready) {
+    heap_.push_back(t);
+    std::push_heap(heap_.begin(), heap_.end(), after());
+  }
 }
 
 TaskId PriorityScheduler::acquire(int core) {
   (void)core;
   if (heap_.empty()) return kNoTask;
-  const TaskId t = heap_.top().second;
-  heap_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), after());
+  const TaskId t = heap_.back();
+  heap_.pop_back();
   return t;
 }
 

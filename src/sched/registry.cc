@@ -3,17 +3,15 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sched/affinity_scheduler.h"
 #include "sched/central_fifo_scheduler.h"
 #include "sched/feedback_scheduler.h"
-#include "sched/pdf_scheduler.h"
 #include "sched/priority_scheduler.h"
 #include "sched/ws_scheduler.h"
 
 namespace cachesched {
 namespace {
 
-using Steal = StealingSchedulerBase::Steal;
+using Steal = WsScheduler::Steal;
 
 // A family's rows: the keys `list` prints, in order, with the defaults
 // its builder reads.
@@ -39,9 +37,12 @@ Steal get_steal(const SpecParams& p) {
   return static_cast<Steal>(p.get_choice("steal", {"one", "half"}));
 }
 
+// ws with nearest-first victims (ws_scheduler.h).
 Made make_aff(const SpecParams& p, const std::string& label) {
-  return std::make_unique<AffinityScheduler>(
-      AffinityScheduler::Options{get_steal(p)}, label);
+  WsScheduler::Options opt;
+  opt.victims = WsScheduler::Victims::kNearest;
+  opt.steal = get_steal(p);
+  return std::make_unique<WsScheduler>(opt, label);
 }
 
 Made make_cfb(const SpecParams& p, const std::string& label) {
@@ -53,8 +54,9 @@ Made make_fifo(const SpecParams&, const std::string&) {
   return std::make_unique<CentralFifoScheduler>();
 }
 
+// prio's default order: key=id, order=min.
 Made make_pdf(const SpecParams&, const std::string&) {
-  return std::make_unique<PdfScheduler>();
+  return std::make_unique<PriorityScheduler>();
 }
 
 Made make_prio(const SpecParams& p, const std::string& label) {

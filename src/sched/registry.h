@@ -5,8 +5,9 @@
 // util/spec.h). registry.cc holds one constant row per family: its name,
 // its accepted keys with their defaults and docs (`cachesched_cli list`
 // prints them, and the builder reads its defaults from them), and a
-// builder from the parsed parameters. Adding a scheduler is one class
-// plus one row.
+// builder from the parsed parameters. A policy over an existing mechanism
+// is one row (pdf is prio's default order, aff is ws with nearest-first
+// victims); a new mechanism is one class plus one row.
 #pragma once
 
 #include <memory>

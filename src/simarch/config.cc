@@ -36,35 +36,6 @@ void ConfigOverrides::apply(CmpConfig& cfg) const {
   if (task_dispatch_cycles) cfg.task_dispatch_cycles = *task_dispatch_cycles;
 }
 
-std::string ConfigOverrides::serialize() const {
-  std::ostringstream os;
-  auto field = [&os](const char* name, const auto& opt) {
-    os << name << '=';
-    if (opt) {
-      os << static_cast<uint64_t>(*opt);
-    } else {
-      os << '-';
-    }
-  };
-  field("l2_hit", l2_hit_cycles);
-  os << ',';
-  field("mem_latency", mem_latency_cycles);
-  os << ',';
-  field("banks", l2_banks);
-  os << ',';
-  field("dispatch", task_dispatch_cycles);
-  return os.str();
-}
-
-ConfigOverrides ConfigOverrides::capture(const CmpConfig& cfg) {
-  ConfigOverrides o;
-  o.l2_hit_cycles = cfg.l2_hit_cycles;
-  o.mem_latency_cycles = cfg.mem_latency_cycles;
-  o.l2_banks = cfg.l2_banks;
-  o.task_dispatch_cycles = cfg.task_dispatch_cycles;
-  return o;
-}
-
 CmpConfig CmpConfig::scaled(double f) const {
   if (f <= 0 || f > 1.0) throw std::invalid_argument("scale must be in (0,1]");
   CmpConfig c = *this;

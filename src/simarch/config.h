@@ -80,9 +80,9 @@ struct CmpConfig {
 /// The timing-knob overrides an experiment may layer on top of a table
 /// configuration — the axes of the paper's sensitivity studies (fig4 L2
 /// hit time, fig5 memory latency, §5.3 banking, the dispatch-cost
-/// ablation). One struct defines, applies and serializes the delta, so
-/// SweepSpec, the CLI's flag parsing and the result store's job-identity
-/// key all agree on what a config override is.
+/// ablation). SweepSpec and the CLI's flag parsing share it. The result
+/// store keys the *final* configuration's fields, so a value means the
+/// same whichever route set it.
 struct ConfigOverrides {
   std::optional<int> l2_hit_cycles;
   std::optional<int> mem_latency_cycles;
@@ -91,18 +91,6 @@ struct ConfigOverrides {
 
   /// Overwrites the set CmpConfig fields of `cfg`.
   void apply(CmpConfig& cfg) const;
-
-  /// Stable one-line serialization, e.g.
-  /// "l2_hit=19,mem_latency=-,banks=4,dispatch=-" ('-' = unset). Field
-  /// order is fixed; used in the result-store job key, so changing it
-  /// invalidates stored sweep records.
-  std::string serialize() const;
-
-  /// Fully-populated overrides capturing the timing fields of a *final*
-  /// configuration: the store's canonical timing signature, independent
-  /// of which route (table default, CLI flag, SweepSpec override)
-  /// produced the value.
-  static ConfigOverrides capture(const CmpConfig& cfg);
 };
 
 /// Table 2 configuration for a given core count (1, 2, 4, 8, 16 or 32).

@@ -6,9 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sched/central_fifo_scheduler.h"
-#include "sched/pdf_scheduler.h"
-#include "sched/ws_scheduler.h"
 #include "simarch/engine_detail.h"
 
 namespace cachesched {
@@ -90,18 +87,13 @@ struct CoreState {
   BufOp buf[kBufOps];
 };
 
-// The simulation loop, templated on the concrete scheduler type so that
-// the per-task enqueue/acquire calls on the dispatch path are direct
-// (devirtualized, inlinable) for the registered schedulers; run()
-// dispatches by dynamic_cast and falls back to the virtual interface for
-// user-supplied schedulers.
-//
-// There is no materialized event queue: every non-idle core has exactly
-// one pending event, at its own `time`, so the next event is the non-idle
-// core with the smallest (time, id) — one P-element scan per event
-// (P <= 32) instead of heap churn on every shared-L2 access. The same
-// scan also yields the earliest event of any *other* core, which bounds
-// the dispatched core's local run-ahead, so the hot path never rescans.
+// The simulation loop. There is no materialized event queue: every
+// non-idle core has exactly one pending event, at its own `time`, so the
+// next event is the non-idle core with the smallest (time, id) — one
+// P-element scan per event (P <= 32) instead of heap churn on every
+// shared-L2 access. The same scan also yields the earliest event of any
+// *other* core, which bounds the dispatched core's local run-ahead, so
+// the hot path never rescans.
 // While the dispatched core's next shared-L2 access falls strictly
 // before every other core's event it is performed inline in the same
 // run (run_core) — the event the scan would pick next is this core's
@@ -109,9 +101,8 @@ struct CoreState {
 // leaves the run loop or spills its accumulator state.
 // `exact` selects the pass: false runs ahead and throws RunAheadBroken on
 // a detected violation; true takes every op in exact order (engine.h).
-template <class S>
 SimResult simulate(const CmpConfig& cfg, bool exact, bool collect_stats,
-                   const TaskDag& dag, S& sched) {
+                   const TaskDag& dag, Scheduler& sched) {
   const int P = cfg.cores;
   const int line_shift =
       std::countr_zero(static_cast<unsigned>(cfg.line_bytes));
@@ -516,23 +507,11 @@ CmpSimulator::CmpSimulator(const CmpConfig& config) : cfg_(config) {
 }
 
 SimResult CmpSimulator::run(const TaskDag& dag, Scheduler& sched) {
-  auto pass = [&](bool exact) {
-    if (auto* s = dynamic_cast<PdfScheduler*>(&sched)) {
-      return simulate(cfg_, exact, collect_task_stats_, dag, *s);
-    }
-    if (auto* s = dynamic_cast<WsScheduler*>(&sched)) {
-      return simulate(cfg_, exact, collect_task_stats_, dag, *s);
-    }
-    if (auto* s = dynamic_cast<CentralFifoScheduler*>(&sched)) {
-      return simulate(cfg_, exact, collect_task_stats_, dag, *s);
-    }
-    return simulate(cfg_, exact, collect_task_stats_, dag, sched);
-  };
   try {
-    return pass(false);
+    return simulate(cfg_, false, collect_task_stats_, dag, sched);
   } catch (const RunAheadBroken&) {
     ++exact_reruns_;
-    return pass(true);
+    return simulate(cfg_, true, collect_task_stats_, dag, sched);
   }
 }
 

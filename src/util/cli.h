@@ -15,9 +15,8 @@
 
 namespace cachesched {
 
-/// Process exit codes for the CLI tools — one vocabulary instead of the
-/// ad-hoc 1/2 mix that grew over time. check_unused() returns
-/// kExitUsage-compatible 2 for unknown flags and malformed values.
+/// Process exit codes of the CLI tools. check_unused() returns 2
+/// (kExitUsage) for unknown flags and malformed values.
 enum ExitCode : int {
   kExitOk = 0,
   /// Runtime failure: simulation error, I/O error, bad input data. A

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dag.h"
-#include "sched/pdf_scheduler.h"
+#include "sched/priority_scheduler.h"
 #include "simarch/engine.h"
 
 namespace cachesched {
@@ -27,7 +27,7 @@ CmpConfig banked_config(int cores, int banks) {
 }
 
 uint64_t run_cycles(const TaskDag& dag, const CmpConfig& cfg) {
-  PdfScheduler s;
+  PriorityScheduler s;
   CmpSimulator sim(cfg);
   return sim.run(dag, s).cycles;
 }
@@ -66,7 +66,7 @@ TEST(BankedL2, RemoteBanksCostHops) {
 TEST(BankedL2, HitMissCountsUnaffectedByBanking) {
   // Banking is a timing model only; replacement and counts are identical.
   const TaskDag dag = two_pass_scan(128);
-  PdfScheduler s1, s2;
+  PriorityScheduler s1, s2;
   CmpSimulator mono(banked_config(1, 0));
   CmpSimulator banked(banked_config(1, 8));
   const SimResult a = mono.run(dag, s1);

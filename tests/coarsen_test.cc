@@ -4,7 +4,7 @@
 
 #include "coarsen/coarsen.h"
 #include "profile/ws_profiler.h"
-#include "sched/pdf_scheduler.h"
+#include "sched/priority_scheduler.h"
 #include "simarch/engine.h"
 #include "workloads/mergesort.h"
 
@@ -167,7 +167,7 @@ TEST(Coarsen, CoarsenedDagSharesAndOutlivesTheSourceArena) {
 
   const CmpConfig cfg = default_config(4).scaled(0.03125);
   const auto simulate = [&cfg](const TaskDag& dag) {
-    PdfScheduler s;
+    PriorityScheduler s;
     CmpSimulator sim(cfg);
     return sim.run(dag, s);
   };

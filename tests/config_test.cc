@@ -116,28 +116,5 @@ TEST(ConfigOverrides, ApplySetsOnlyEngagedFields) {
   EXPECT_EQ(cfg.task_dispatch_cycles, base.task_dispatch_cycles);
 }
 
-TEST(ConfigOverrides, SerializeIsStableAndDistinguishesUnsetFromZero) {
-  ConfigOverrides o;
-  EXPECT_EQ(o.serialize(), "l2_hit=-,mem_latency=-,banks=-,dispatch=-");
-  o.l2_hit_cycles = 19;
-  o.l2_banks = 4;
-  EXPECT_EQ(o.serialize(), "l2_hit=19,mem_latency=-,banks=4,dispatch=-");
-  ConfigOverrides zero;
-  zero.task_dispatch_cycles = 0;
-  EXPECT_NE(zero.serialize(), ConfigOverrides{}.serialize());
-}
-
-TEST(ConfigOverrides, CaptureRoundTripsThroughApply) {
-  CmpConfig cfg = default_config(8);
-  cfg.l2_hit_cycles = 17;
-  cfg.l2_banks = 16;
-  const ConfigOverrides o = ConfigOverrides::capture(cfg);
-  CmpConfig other = default_config(8);
-  o.apply(other);
-  EXPECT_EQ(other.l2_hit_cycles, 17);
-  EXPECT_EQ(other.l2_banks, 16);
-  EXPECT_EQ(o.serialize(), ConfigOverrides::capture(other).serialize());
-}
-
 }  // namespace
 }  // namespace cachesched

@@ -6,9 +6,11 @@
 #include <vector>
 
 #include "core/dag.h"
+#include "harness/workload_registry.h"
 #include "runahead_dags.h"
 #include "sched/central_fifo_scheduler.h"
-#include "sched/pdf_scheduler.h"
+#include "sched/priority_scheduler.h"
+#include "sched/registry.h"
 #include "sched/ws_scheduler.h"
 #include "simarch/engine.h"
 
@@ -37,7 +39,7 @@ TEST(Engine, PureComputeTiming) {
   DagBuilder b;
   b.add_task({}, {RefBlock::compute(1000)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(1), s);
   EXPECT_EQ(r.cycles, 1000u);
   EXPECT_EQ(r.instructions, 1000u);
@@ -50,7 +52,7 @@ TEST(Engine, ColdMissCosts) {
   DagBuilder b;
   b.add_task({}, {RefBlock::stride_ref(0, 1, 128, false, 5)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(1), s);
   EXPECT_EQ(r.l2_misses, 1u);
   EXPECT_EQ(r.cycles, 4u + 300u);
@@ -63,7 +65,7 @@ TEST(Engine, L1HitCosts) {
   b.add_task({}, {RefBlock::stride_ref(0, 1, 128, false, 5),
                   RefBlock::stride_ref(0, 1, 128, false, 5)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(1), s);
   EXPECT_EQ(r.l2_misses, 1u);
   EXPECT_EQ(r.l1_hits, 1u);
@@ -77,7 +79,7 @@ TEST(Engine, L2HitAfterL1Eviction) {
   b.add_task({}, {RefBlock::stride_ref(0, 9, 128, false, 1),
                   RefBlock::stride_ref(0, 1, 128, false, 1)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(1), s);
   EXPECT_EQ(r.l2_misses, 9u);
   EXPECT_EQ(r.l2_hits, 1u);
@@ -89,7 +91,7 @@ TEST(Engine, TaskDispatchOverheadCharged) {
   DagBuilder b;
   b.add_task({}, {RefBlock::compute(10)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, cfg, s);
   EXPECT_EQ(r.cycles, 110u);
 }
@@ -98,9 +100,9 @@ TEST(Engine, IndependentTasksRunInParallel) {
   DagBuilder b;
   for (int i = 0; i < 4; ++i) b.add_task({}, {RefBlock::compute(1000)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   EXPECT_EQ(run(dag, tiny_config(1), s).cycles, 4000u);
-  PdfScheduler s4;
+  PriorityScheduler s4;
   EXPECT_EQ(run(dag, tiny_config(4), s4).cycles, 1000u);
 }
 
@@ -111,7 +113,7 @@ TEST(Engine, DependenceChainSerializes) {
     prev = b.add_task({prev}, {RefBlock::compute(100)});
   }
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   EXPECT_EQ(run(dag, tiny_config(4), s).cycles, 500u);
 }
 
@@ -122,7 +124,7 @@ TEST(Engine, ZeroWorkSyncNodes) {
   const TaskId c = b.add_task({f}, {RefBlock::compute(10)});
   b.add_task({a, c}, {});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(2), s);
   EXPECT_EQ(r.tasks_executed, 4u);
   EXPECT_EQ(r.cycles, 10u);
@@ -137,9 +139,9 @@ TEST(Engine, MemoryChannelSaturationSlowsParallelMisses) {
                                          128, false, 1)});
   }
   auto dag = b.finish();
-  PdfScheduler s1;
+  PriorityScheduler s1;
   const SimResult r1 = run(dag, tiny_config(1), s1);
-  PdfScheduler s4;
+  PriorityScheduler s4;
   const SimResult r4 = run(dag, tiny_config(4), s4);
   EXPECT_GT(r4.cycles * 4, r1.cycles);
   EXPECT_GT(r4.mem_queue_cycles, 0u);
@@ -154,7 +156,7 @@ TEST(Engine, SharedLinesHitInL2AcrossCores) {
   b.add_task({t0}, {RefBlock::stride_ref(0, 32, 128, false, 1)});
   b.add_task({t0}, {RefBlock::stride_ref(0, 32, 128, false, 1)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(2), s);
   EXPECT_EQ(r.l2_misses, 32u);
   EXPECT_GE(r.l2_hits, 48u);  // both readers, minus what stayed in L1
@@ -170,7 +172,7 @@ TEST(Engine, WriteInvalidatesOtherL1Copies) {
                   RefBlock::stride_ref(0, 8, 128, true, 1)});
   b.add_task({a}, {RefBlock::stride_ref(0, 8, 128, false, 1)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(2), s);
   EXPECT_GT(r.invalidations, 0u);
 }
@@ -201,7 +203,7 @@ TEST(Engine, DeterministicAcrossRuns) {
 // L2 hit).
 TEST(Engine, HitPastAnInvalidatingWriteRerunsExactly) {
   const TaskDag dag = hit_past_a_write();
-  PdfScheduler s;
+  PriorityScheduler s;
   uint64_t reruns = 0;
   const SimResult r = run(dag, tiny_config(2), s, &reruns);
   EXPECT_EQ(reruns, 1u);
@@ -219,7 +221,7 @@ TEST(Engine, HitPastAnInvalidatingWriteRerunsExactly) {
 // cycles, 201 L1 hits and 1 L2 hit).
 TEST(Engine, SameCycleHitAfterAWriteRerunsExactly) {
   const TaskDag dag = same_cycle_hit();
-  PdfScheduler s;
+  PriorityScheduler s;
   uint64_t reruns = 0;
   const SimResult r = run(dag, tiny_config(2), s, &reruns);
   EXPECT_EQ(reruns, 1u);
@@ -238,7 +240,7 @@ TEST(Engine, SameCycleHitAfterAWriteRerunsExactly) {
 // was already exact here; its same-cycle stamp costs a spare re-run.
 TEST(Engine, ZeroDispatchForkAfterSameCycleHitIsExact) {
   const TaskDag dag = zero_dispatch_fork();
-  PdfScheduler s;
+  PriorityScheduler s;
   uint64_t reruns = 0;
   SimResult r;
   ASSERT_NO_THROW(r = run(dag, tiny_config(3), s, &reruns));
@@ -259,7 +261,7 @@ TEST(Engine, ExactPassFinishesOnSameCycleForks) {
     for (uint64_t seed = 0; seed < 8; ++seed) {
       const TaskDag dag = same_cycle_forks(cores, seed);
       for (auto make :
-           {+[]() -> Scheduler* { return new PdfScheduler; },
+           {+[]() -> Scheduler* { return new PriorityScheduler; },
             +[]() -> Scheduler* { return new WsScheduler; },
             +[]() -> Scheduler* { return new CentralFifoScheduler; }}) {
         std::unique_ptr<Scheduler> s1(make()), s2(make());
@@ -283,7 +285,7 @@ TEST(Engine, DisjointWritesNeedNoRerun) {
                                              true, 2)});
   }
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   uint64_t reruns = 1;
   const SimResult r = run(dag, tiny_config(4), s, &reruns);
   EXPECT_EQ(reruns, 0u);
@@ -295,7 +297,7 @@ TEST(Engine, GreedyNoIdleCoreWhileWorkPending) {
   DagBuilder b;
   for (int i = 0; i < 8; ++i) b.add_task({}, {RefBlock::compute(500)});
   auto dag = b.finish();
-  for (auto make : {+[]() -> Scheduler* { return new PdfScheduler; },
+  for (auto make : {+[]() -> Scheduler* { return new PriorityScheduler; },
                     +[]() -> Scheduler* { return new WsScheduler; },
                     +[]() -> Scheduler* { return new CentralFifoScheduler; }}) {
     std::unique_ptr<Scheduler> s(make());
@@ -309,7 +311,7 @@ TEST(Engine, CoreUtilizationAndBusyAccounting) {
   b.add_task({}, {RefBlock::compute(1000)});
   b.add_task({}, {RefBlock::compute(500)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(2), s);
   EXPECT_EQ(r.cycles, 1000u);
   ASSERT_EQ(r.core_busy_cycles.size(), 2u);
@@ -323,7 +325,7 @@ TEST(Engine, WritebackTrafficCounted) {
   DagBuilder b;
   b.add_task({}, {RefBlock::stride_ref(0, 128, 128, true, 1)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(1), s);
   EXPECT_GT(r.writebacks, 0u);
   EXPECT_EQ(r.l2_misses, 128u);
@@ -333,7 +335,7 @@ TEST(Engine, StatsDerivedMetrics) {
   DagBuilder b;
   b.add_task({}, {RefBlock::stride_ref(0, 10, 128, false, 100)});
   auto dag = b.finish();
-  PdfScheduler s;
+  PriorityScheduler s;
   const SimResult r = run(dag, tiny_config(1), s);
   EXPECT_EQ(r.total_refs(), 10u);
   EXPECT_NEAR(r.l2_misses_per_kilo_instr(), 10.0, 1e-9);
@@ -385,6 +387,48 @@ TEST(Engine, SchedulerContractIsAlwaysChecked) {
             "scheduler scripted handed task 7 to core 0, which is out of "
             "range (2 tasks)");
   EXPECT_EQ(contract_error(dag, {0, kNoTask, 1}), "no error");
+}
+
+/// A scheduler defined outside src/sched: it forwards every call to a
+/// built-in one and reports its own name.
+class ForwardingScheduler final : public Scheduler {
+ public:
+  explicit ForwardingScheduler(const std::string& spec)
+      : inner_(make_scheduler(spec)) {}
+  void reset(const TaskDag& dag, const SchedContext& ctx) override {
+    inner_->reset(dag, ctx);
+  }
+  void enqueue_ready(int core, std::span<const TaskId> ready) override {
+    inner_->enqueue_ready(core, ready);
+  }
+  TaskId acquire(int core) override { return inner_->acquire(core); }
+  void on_complete(int core, TaskId t) override {
+    inner_->on_complete(core, t);
+  }
+  bool empty() const override { return inner_->empty(); }
+  const char* name() const override { return "forwarding"; }
+  uint64_t steal_count() const override { return inner_->steal_count(); }
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+};
+
+TEST(Engine, OutsideSchedulerRunsLikeTheBuiltInItForwardsTo) {
+  // golden_sim_test's mergesort fixture: 4 cores at scale 1/32.
+  const CmpConfig cfg = default_config(4).scaled(0.03125);
+  AppOptions opt;
+  opt.scale = 0.03125;
+  const Workload w = make_workload("mergesort", cfg, opt);
+  for (const char* spec : {"pdf", "ws", "aff:steal=half", "fifo"}) {
+    SCOPED_TRACE(spec);
+    const auto built_in = make_scheduler(spec);
+    const SimResult want = run(w.dag, cfg, *built_in);
+    ForwardingScheduler outside(spec);
+    SimResult got = run(w.dag, cfg, outside);
+    EXPECT_EQ(got.scheduler, "forwarding");
+    got.scheduler = want.scheduler;
+    expect_identical(got, want);
+  }
 }
 
 TEST(Engine, RejectsTooManyCores) {

@@ -2,7 +2,7 @@
 
 #include "core/dag.h"
 #include "sched/central_fifo_scheduler.h"
-#include "sched/pdf_scheduler.h"
+#include "sched/priority_scheduler.h"
 #include "sched/ws_scheduler.h"
 
 namespace cachesched {
@@ -21,7 +21,7 @@ TaskDag chain(int n) {
 }
 
 TEST(Pdf, AlwaysReturnsEarliestSequentialTask) {
-  PdfScheduler s;
+  PriorityScheduler s;
   auto dag = chain(1);
   s.reset(dag, 4);
   const TaskId ready[] = {7, 3, 9, 1};
@@ -38,7 +38,7 @@ TEST(Pdf, AlwaysReturnsEarliestSequentialTask) {
 }
 
 TEST(Pdf, ResetClears) {
-  PdfScheduler s;
+  PriorityScheduler s;
   auto dag = chain(1);
   s.reset(dag, 1);
   const TaskId ready[] = {5};
@@ -127,7 +127,7 @@ TEST(Fifo, FirstComeFirstServed) {
 }
 
 TEST(AllSchedulers, NamesAreStable) {
-  EXPECT_STREQ(PdfScheduler().name(), "pdf");
+  EXPECT_STREQ(PriorityScheduler().name(), "pdf");
   EXPECT_STREQ(WsScheduler().name(), "ws");
   EXPECT_STREQ(CentralFifoScheduler().name(), "fifo");
 }

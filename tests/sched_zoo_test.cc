@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/dag.h"
-#include "sched/affinity_scheduler.h"
 #include "sched/feedback_scheduler.h"
 #include "sched/priority_scheduler.h"
 #include "sched/registry.h"
@@ -39,7 +38,7 @@ SchedContext ctx(int cores, int l2_banks = 0) {
 
 TEST(WsZoo, StealHalfTakesBottomHalfInOneEvent) {
   auto s = make_scheduler("ws:steal=half");
-  auto* ws = dynamic_cast<StealingSchedulerBase*>(s.get());
+  auto* ws = dynamic_cast<WsScheduler*>(s.get());
   ASSERT_NE(ws, nullptr);
   const auto dag = chain(1);
   s->reset(dag, ctx(2));
@@ -134,14 +133,14 @@ TEST(AffZoo, MonolithicL2DegeneratesToRingDistance) {
 TEST(AffZoo, StealHalfParamApplies) {
   const auto dag = chain(1);
   auto s = make_scheduler("aff:steal=half");
-  auto* base = dynamic_cast<StealingSchedulerBase*>(s.get());
-  ASSERT_NE(base, nullptr);
+  auto* ws = dynamic_cast<WsScheduler*>(s.get());
+  ASSERT_NE(ws, nullptr);
   s->reset(dag, ctx(2));
   const TaskId ready[] = {1, 2, 3, 4};
   s->enqueue_ready(0, ready);
   EXPECT_EQ(s->acquire(1), 4u);  // bottom; ceil(4/2)=2 moved in total
-  EXPECT_EQ(base->deque_size(1), 1u);
-  EXPECT_EQ(base->deque_size(0), 2u);
+  EXPECT_EQ(ws->deque_size(1), 1u);
+  EXPECT_EQ(ws->deque_size(0), 2u);
 }
 
 // ----------------------------------------------------------------- prio

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -92,6 +93,53 @@ TEST(StoreKeyTest, DeterministicAndSensitiveToIdentity) {
   j = base;
   j.opt.seed += 1;
   EXPECT_NE(store_key(j)->repr, k1->repr);
+}
+
+TEST(StoreKeyTest, KeyIsPinnedAndCoversEveryConfigField) {
+  SweepSpec spec;
+  spec.apps = {"lu"};
+  spec.scheds = {"pdf"};
+  spec.core_counts = {2};
+  spec.scales = {0.03125};
+  const std::vector<SweepJob> jobs = expand(spec);
+  ASSERT_EQ(jobs.size(), 1u);
+  const auto key = store_key(jobs[0]);
+  ASSERT_TRUE(key);
+  // Stores written by earlier binaries hold this entry under this name:
+  // a key change without a kStoreEngineSalt bump orphans them.
+  EXPECT_EQ(key->hex(), "0f0e7570faf10419");
+  std::string shown = key->repr;  // separators made printable
+  std::replace(shown.begin(), shown.end(), '\x1e', '|');
+  std::replace(shown.begin(), shown.end(), '\x1f', '~');
+  EXPECT_EQ(shown,
+            "cachesched-engine-v7|lu~4584664420663164928~0~1~42~2~8192~4~"
+            "262144~16~128|lu~pdf~2~|l2_hit=13,mem_latency=300,banks=0,"
+            "dispatch=100|default-2c-90nm (x0.031250)~7~1~30");
+
+  // Changing any one of CmpConfig's 14 fields changes the key. The
+  // binding stops compiling when CmpConfig gains a field, which must then
+  // join the key and this list.
+  [[maybe_unused]] const auto& [a, b, c, d, e, f, g, h, i, j, k, l, m, n] =
+      jobs[0].config;
+  const auto bumped = [&](auto field) {
+    SweepJob j = jobs[0];
+    j.config.*field += 1;  // the std::string name gains a character
+    return store_key(j)->repr;
+  };
+  EXPECT_NE(bumped(&CmpConfig::name), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::cores), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::l1_bytes), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::l1_ways), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::l2_bytes), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::l2_ways), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::l2_hit_cycles), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::l2_banks), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::l2_local_hit_cycles), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::bank_hop_cycles), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::line_bytes), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::mem_latency_cycles), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::mem_service_cycles), key->repr);
+  EXPECT_NE(bumped(&CmpConfig::task_dispatch_cycles), key->repr);
 }
 
 TEST(StoreKeyTest, SchedulerSpecParametersAreDistinctIdentities) {

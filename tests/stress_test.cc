@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "sched/central_fifo_scheduler.h"
-#include "sched/pdf_scheduler.h"
+#include "sched/priority_scheduler.h"
 #include "sched/ws_scheduler.h"
 #include "simarch/engine.h"
 #include "util/rng.h"
@@ -62,7 +62,7 @@ TEST(Stress, DeepChainTenThousand) {
   }
   const TaskDag dag = b.finish();
   EXPECT_EQ(dag.node_depth(), 10000u);
-  const SimResult r = run<PdfScheduler>(dag, minimal_config(16));
+  const SimResult r = run<PriorityScheduler>(dag, minimal_config(16));
   EXPECT_EQ(r.cycles, 10000u);  // no parallelism to exploit
 }
 
@@ -87,7 +87,7 @@ TEST(Stress, DiamondLattice) {
   EXPECT_EQ(dag.node_depth(), kW + kH - 1u);
   for (int cores : {1, 8}) {
     for (auto make :
-         {+[]() -> Scheduler* { return new PdfScheduler; },
+         {+[]() -> Scheduler* { return new PriorityScheduler; },
           +[]() -> Scheduler* { return new WsScheduler; },
           +[]() -> Scheduler* { return new CentralFifoScheduler; }}) {
       std::unique_ptr<Scheduler> s(make());
@@ -105,7 +105,7 @@ TEST(Stress, SingleLineCachesStillCorrect) {
   b.add_task({}, {RefBlock::stride_ref(0, 100, 128, true, 1),
                   RefBlock::stride_ref(0, 100, 128, false, 1)});
   const TaskDag dag = b.finish();
-  const SimResult r = run<PdfScheduler>(dag, minimal_config(1));
+  const SimResult r = run<PriorityScheduler>(dag, minimal_config(1));
   // 200 refs total; with a 2-line L2 the second pass misses again.
   EXPECT_EQ(r.total_refs(), 200u);
   EXPECT_GE(r.l2_misses, 198u);
@@ -149,7 +149,7 @@ TEST(Stress, RandomDagsAllSchedulersAgreeOnWork) {
     const TaskDag dag = b.finish();
     ASSERT_EQ(dag.validate(), "");
     const CmpConfig cfg = minimal_config(8);
-    const SimResult pdf = run<PdfScheduler>(dag, cfg);
+    const SimResult pdf = run<PriorityScheduler>(dag, cfg);
     const SimResult ws = run<WsScheduler>(dag, cfg);
     const SimResult fifo = run<CentralFifoScheduler>(dag, cfg);
     EXPECT_EQ(pdf.instructions, ws.instructions);
@@ -169,7 +169,7 @@ TEST(Stress, ThirtyTwoCoreSaturatedChannel) {
   }
   const TaskDag dag = b.finish();
   CmpConfig cfg = minimal_config(32);
-  const SimResult r = run<PdfScheduler>(dag, cfg);
+  const SimResult r = run<PriorityScheduler>(dag, cfg);
   EXPECT_EQ(r.l2_misses, 32u * 256u);
   // 8192 misses at 30-cycle service: the channel is the floor.
   EXPECT_GE(r.cycles, 8192u * 30u);

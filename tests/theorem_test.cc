@@ -11,7 +11,7 @@
 // L1 of one line to approximate the theorem's ideal-cache model.
 #include <gtest/gtest.h>
 
-#include "sched/pdf_scheduler.h"
+#include "sched/priority_scheduler.h"
 #include "sched/ws_scheduler.h"
 #include "simarch/engine.h"
 #include "util/rng.h"
@@ -91,9 +91,9 @@ TEST(Theorem31, RandomForkJoinDags) {
     const uint64_t big = kC + kP * depth_tasks * max_refs;
 
     const uint64_t m1 =
-        misses(dag, ideal_cache_config(1, kC), PdfScheduler());
+        misses(dag, ideal_cache_config(1, kC), PriorityScheduler());
     const uint64_t mp =
-        misses(dag, ideal_cache_config(kP, big), PdfScheduler());
+        misses(dag, ideal_cache_config(kP, big), PriorityScheduler());
     EXPECT_LE(mp, m1) << "seed " << seed;
   }
 }
@@ -106,7 +106,7 @@ TEST(Theorem31, MergesortPdfWithinBound) {
   const Workload w = build_mergesort(p);
   const uint64_t c_lines = 64;
   const uint64_t m1 =
-      misses(w.dag, ideal_cache_config(1, c_lines), PdfScheduler());
+      misses(w.dag, ideal_cache_config(1, c_lines), PriorityScheduler());
   // Generous C + P*D margin.
   uint64_t max_refs = 0;
   for (TaskId t = 0; t < w.dag.num_tasks(); ++t) {
@@ -116,7 +116,7 @@ TEST(Theorem31, MergesortPdfWithinBound) {
   }
   const uint64_t big = c_lines + 8 * w.dag.node_depth() * max_refs;
   const uint64_t mp =
-      misses(w.dag, ideal_cache_config(8, big), PdfScheduler());
+      misses(w.dag, ideal_cache_config(8, big), PriorityScheduler());
   EXPECT_LE(mp, m1);
 }
 
@@ -130,7 +130,7 @@ TEST(Theorem31, WsNeedsMoreCacheThanPdf) {
   p.task_ws_bytes = 2 * 1024;
   const Workload w = build_mergesort(p);
   const CmpConfig cfg = ideal_cache_config(8, 128);
-  const uint64_t mpdf = misses(w.dag, cfg, PdfScheduler());
+  const uint64_t mpdf = misses(w.dag, cfg, PriorityScheduler());
   const uint64_t mws = misses(w.dag, cfg, WsScheduler());
   EXPECT_LE(mpdf, mws + mws / 10);  // PDF within 110% of WS, typically below
 }

@@ -45,7 +45,8 @@
 // (including a sweep whose store puts failed), 2 usage error (unknown
 // flags/subcommands, malformed flag values including an output file whose
 // directory does not exist or a bad --shard, bad spec strings, a --tech
-// or --cores the configuration tables do not list).
+// or --cores the configuration tables do not list, a list flag given
+// empty such as --sched= or paper's --only=).
 // Errors go to stderr. Every subcommand rejects these usage errors (exit
 // 2) before it builds a workload or writes a file.
 #include <cstdio>
@@ -104,10 +105,16 @@ int config_from_args(const CliArgs& args, CmpConfig* out) {
   return kExitOk;
 }
 
-std::vector<std::string> sched_list(const CliArgs& args) {
-  // split_workload_list keeps parameterized specs with embedded commas
-  // ("ws:victims=rand,steal=half") whole, same as for generator specs.
-  return split_workload_list(args.get("sched", "pdf,ws"));
+/// Reads the spec list of flag `key` into `*out`; split_workload_list
+/// keeps specs with embedded commas ("ws:victims=rand,steal=half") whole.
+/// A list given but empty ("--sched=", "--sched=,") is a usage error,
+/// reported before any build.
+int spec_list(const CliArgs& args, const std::string& key,
+              const std::string& def, std::vector<std::string>* out) {
+  *out = split_workload_list(args.get(key, def));
+  if (!out->empty()) return kExitOk;
+  std::cerr << "cachesched_cli: --" << key << " lists nothing\n";
+  return kExitUsage;
 }
 
 /// Validates scheduler specs up front — before any workload build or
@@ -172,7 +179,8 @@ int cmd_run(const CliArgs& args) {
   opt.fine_grained = args.get_bool("fine-grained", true);
   const std::string app = args.get("app", "mergesort");
   if (const int rc = check_apps({app})) return rc;
-  const std::vector<std::string> scheds = sched_list(args);
+  std::vector<std::string> scheds;
+  if (const int rc = spec_list(args, "sched", "pdf,ws", &scheds)) return rc;
   if (const int rc = check_scheds(scheds)) return rc;
   // Every flag has been queried; fail on typos before the workload build.
   if (const int rc = args.check_unused()) return rc;
@@ -296,8 +304,8 @@ int cmd_sweep(const CliArgs& args) {
 int cmd_memory(const CliArgs& args) {
   const double scale = args.get_double("scale", 1.0);
   const int cores = args.get_int("cores", 8);
-  const std::vector<std::string> apps =
-      split_workload_list(args.get("apps", "mergesort"));
+  std::vector<std::string> apps;
+  if (const int rc = spec_list(args, "apps", "mergesort", &apps)) return rc;
   AppOptions opt;
   opt.scale = scale;
   opt.mergesort_task_ws = args.get_int<uint64_t>("task-ws", 0);

@@ -908,6 +908,10 @@ int cmd_paper(const CliArgs& args) {
   p.csv_dir = args.get("csv", "");
   const std::vector<std::string> only = args.get_list("only", "");
   if (const int rc = args.check_unused()) return rc;
+  if (only.empty() && args.has("only")) {
+    std::cerr << "paper: --only lists no artifact\n";
+    return kExitUsage;
+  }
 
   std::set<std::string> picked;
   for (const std::string& name : only) {
