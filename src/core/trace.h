@@ -30,9 +30,9 @@
 // `RefBlock` is the builder-facing descriptor (one struct with a field for
 // every kind, convenient to construct). pack_ref turns it into the one
 // stored form, `PackedRef`: a 32-byte tagged record covering the common
-// kinds directly, with each kInterleave block's streams compacted and
-// classified once into a side-table record (`InterleaveSide`) that both
-// the reference TraceCursor and the engine's batched expander read. The
+// kinds directly, with each kInterleave block's streams compacted once
+// into a side-table record (`InterleaveSide`) that both the reference
+// TraceCursor and the engine's batched expander read. The
 // packed form roughly halves trace footprint and keeps the simulator's
 // refill scan sequential and cache-dense. A TaskDag keeps every task's
 // PackedRefs in one arena in task order (core/dag.h).
@@ -141,25 +141,14 @@ struct RefBlock {
 
 /// A kInterleave block's streams, stored once per block in a side table
 /// next to the packed arena (PackedRef::side_index). pack_ref compacts the
-/// descriptor's streams to the non-empty ones, in order — an empty stream
+/// descriptor's streams to the non-empty ones, in order: an empty stream
 /// is never picked by the proportional schedule nor by its fallback, so
-/// dropping it preserves the emission sequence exactly — and classifies
-/// the shape of the pick:
-///
-///   kEmpty  — no references.
-///   kSingle — one stream: consecutive lines, no schedule arithmetic.
-///   kAlt2   — two equal-length streams: the schedule degenerates to a
-///             strict 0,1,0,1 alternation (the copy-pass shape emitted by
-///             read_write_pass), so the pick is the step parity.
-///   kPair   — two streams, general: signed error terms with whole-run
-///             expansion when one stream is behind its target.
-///   kTriple — three streams: priority-chained error terms.
+/// dropping it preserves the emission sequence exactly. The slots past
+/// `num_streams` keep 0 lines.
 struct InterleaveSide {
-  enum Kind : uint8_t { kEmpty, kSingle, kAlt2, kPair, kTriple };
   uint64_t base[kMaxStreams] = {};   // byte address of each first line
-  uint32_t lines[kMaxStreams] = {};  // L_s, all non-zero
+  uint32_t lines[kMaxStreams] = {};  // L_s; non-zero below num_streams
   uint32_t line_bytes = 128;
-  Kind kind = kEmpty;
   uint8_t num_streams = 0;
   bool write[kMaxStreams] = {};
 };
@@ -177,179 +166,73 @@ inline constexpr uint64_t kMaxInterleaveRefs = uint64_t{1} << 31;
 /// references through its record `f`, calling emit(addr, s) per reference
 /// (s indexes f's streams). `em` is the per-stream emitted-line state,
 /// updated in place; resuming from any (i, em) state reached by a previous
-/// call continues the exact sequence. Must not be called with kind kEmpty
-/// (nothing to emit).
+/// call continues the exact sequence. Requires i < end <= n.
 ///
 /// The emitted schedule is byte-identical to TraceCursor::next()'s
 /// proportional first-behind rule — stream s is due when
 /// (i+1)*L_s >= (em_s+1)*n, the first due stream is picked, and a floor
 /// rounding gap falls back to the first unfinished stream —
 /// tests/trace_test.cc proves equality on randomized configurations and
-/// resume boundaries. All error terms are exact: |D_s| < n^2 < 2^62
-/// (n < kMaxInterleaveRefs).
+/// resume boundaries. One loop serves every stream count: a slot past
+/// num_streams has L_s = 0, so its error term stays at -n and never comes
+/// due, and the fallback never reaches it because some present stream is
+/// unfinished until the block ends. All error terms are exact:
+/// |D_s| < n^2 < 2^62 (n < kMaxInterleaveRefs).
 template <class EmitFn>
 inline void interleave_expand(const InterleaveSide& f, uint32_t n, uint32_t i,
                               uint32_t end, uint32_t em[kMaxStreams],
                               EmitFn&& emit) {
   const uint32_t lb = f.line_bytes;
-  switch (f.kind) {
-    case InterleaveSide::kSingle: {
-      uint64_t a = f.base[0] + uint64_t{em[0]} * lb;
-      em[0] += end - i;
-      for (; i < end; ++i, a += lb) emit(a, 0);
-      return;
+  const int64_t l0 = f.lines[0];
+  const int64_t l1 = f.lines[1];
+  const int64_t l2 = f.lines[2];
+  const int64_t dn = n;
+  int64_t d0 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[0]) -
+               static_cast<int64_t>((uint64_t{em[0]} + 1) * n);
+  int64_t d1 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[1]) -
+               static_cast<int64_t>((uint64_t{em[1]} + 1) * n);
+  int64_t d2 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[2]) -
+               static_cast<int64_t>((uint64_t{em[2]} + 1) * n);
+  uint64_t a0 = f.base[0] + uint64_t{em[0]} * lb;
+  uint64_t a1 = f.base[1] + uint64_t{em[1]} * lb;
+  uint64_t a2 = f.base[2] + uint64_t{em[2]} * lb;
+  for (; i < end; ++i) {
+    // Picking stream s advances every prog by L and s's goal by n:
+    // d_t += L_t for all t, d_s -= n.
+    if (d0 >= 0) {
+      emit(a0, 0);
+      a0 += lb;
+      ++em[0];
+      d0 -= dn;
+    } else if (d1 >= 0) {
+      emit(a1, 1);
+      a1 += lb;
+      ++em[1];
+      d1 -= dn;
+    } else if (d2 >= 0) {
+      emit(a2, 2);
+      a2 += lb;
+      ++em[2];
+      d2 -= dn;
+    } else if (em[0] < f.lines[0]) {
+      emit(a0, 0);
+      a0 += lb;
+      ++em[0];
+      d0 -= dn;
+    } else if (em[1] < f.lines[1]) {
+      emit(a1, 1);
+      a1 += lb;
+      ++em[1];
+      d1 -= dn;
+    } else {
+      emit(a2, 2);
+      a2 += lb;
+      ++em[2];
+      d2 -= dn;
     }
-    case InterleaveSide::kAlt2: {
-      uint64_t a0 = f.base[0] + uint64_t{em[0]} * lb;
-      uint64_t a1 = f.base[1] + uint64_t{em[1]} * lb;
-      if ((i & 1) != 0 && i < end) {
-        emit(a1, 1);
-        a1 += lb;
-        ++em[1];
-        ++i;
-      }
-      for (; i + 1 < end; i += 2) {
-        emit(a0, 0);
-        a0 += lb;
-        ++em[0];
-        emit(a1, 1);
-        a1 += lb;
-        ++em[1];
-      }
-      if (i < end) {
-        emit(a0, 0);
-        ++em[0];
-      }
-      return;
-    }
-    case InterleaveSide::kPair: {
-      // Picking stream s advances its goal by n and every progress term by
-      // its L, so s's error falls by n - L_s: the other stream's length.
-      const int64_t g0 = f.lines[1];
-      const int64_t g1 = f.lines[0];
-      int64_t d0 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[0]) -
-                   static_cast<int64_t>((uint64_t{em[0]} + 1) * n);
-      int64_t d1 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[1]) -
-                   static_cast<int64_t>((uint64_t{em[1]} + 1) * n);
-      uint64_t a0 = f.base[0] + uint64_t{em[0]} * lb;
-      uint64_t a1 = f.base[1] + uint64_t{em[1]} * lb;
-      while (i < end) {
-        if (d0 >= 0) {
-          // Stream 0 stays due for floor(d0/g0)+1 consecutive steps: a
-          // whole run of consecutive lines in one inner loop, with the
-          // division paid only when the run has at least two lines.
-          uint32_t r = 1;
-          if (d0 >= g0) {
-            const uint64_t q = static_cast<uint64_t>(d0) /
-                                   static_cast<uint64_t>(g0) +
-                               1;
-            const uint32_t avail = end - i;
-            r = q < avail ? static_cast<uint32_t>(q) : avail;
-          }
-          i += r;
-          em[0] += r;
-          d0 -= g0 * static_cast<int64_t>(r);
-          d1 += g0 * static_cast<int64_t>(r);
-          do {
-            emit(a0, 0);
-            a0 += lb;
-          } while (--r != 0);
-        } else if (d1 >= 0) {
-          uint32_t r = 1;
-          if (d1 >= g1) {
-            const uint64_t q = static_cast<uint64_t>(d1) /
-                                   static_cast<uint64_t>(g1) +
-                               1;
-            const uint32_t avail = end - i;
-            r = q < avail ? static_cast<uint32_t>(q) : avail;
-          }
-          i += r;
-          em[1] += r;
-          d1 -= g1 * static_cast<int64_t>(r);
-          d0 += g1 * static_cast<int64_t>(r);
-          do {
-            emit(a1, 1);
-            a1 += lb;
-          } while (--r != 0);
-        } else {
-          // Floor rounding gap: the first unfinished stream. (From states
-          // reachable by this schedule it is always stream 0 — stream 0
-          // being finished forces d1 >= 0 — but keep the general pick.)
-          if (em[0] < f.lines[0]) {
-            emit(a0, 0);
-            a0 += lb;
-            ++em[0];
-            d0 -= g0;
-            d1 += g0;
-          } else {
-            emit(a1, 1);
-            a1 += lb;
-            ++em[1];
-            d1 -= g1;
-            d0 += g1;
-          }
-          ++i;
-        }
-      }
-      return;
-    }
-    case InterleaveSide::kTriple: {
-      const int64_t l0 = f.lines[0];
-      const int64_t l1 = f.lines[1];
-      const int64_t l2 = f.lines[2];
-      const int64_t dn = n;
-      int64_t d0 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[0]) -
-                   static_cast<int64_t>((uint64_t{em[0]} + 1) * n);
-      int64_t d1 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[1]) -
-                   static_cast<int64_t>((uint64_t{em[1]} + 1) * n);
-      int64_t d2 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[2]) -
-                   static_cast<int64_t>((uint64_t{em[2]} + 1) * n);
-      uint64_t a0 = f.base[0] + uint64_t{em[0]} * lb;
-      uint64_t a1 = f.base[1] + uint64_t{em[1]} * lb;
-      uint64_t a2 = f.base[2] + uint64_t{em[2]} * lb;
-      for (; i < end; ++i) {
-        // Picking stream s advances every prog by L and s's goal by n:
-        // d_t += L_t for all t, d_s -= n.
-        if (d0 >= 0) {
-          emit(a0, 0);
-          a0 += lb;
-          ++em[0];
-          d0 -= dn;
-        } else if (d1 >= 0) {
-          emit(a1, 1);
-          a1 += lb;
-          ++em[1];
-          d1 -= dn;
-        } else if (d2 >= 0) {
-          emit(a2, 2);
-          a2 += lb;
-          ++em[2];
-          d2 -= dn;
-        } else if (em[0] < f.lines[0]) {
-          emit(a0, 0);
-          a0 += lb;
-          ++em[0];
-          d0 -= dn;
-        } else if (em[1] < f.lines[1]) {
-          emit(a1, 1);
-          a1 += lb;
-          ++em[1];
-          d1 -= dn;
-        } else {
-          emit(a2, 2);
-          a2 += lb;
-          ++em[2];
-          d2 -= dn;
-        }
-        d0 += l0;
-        d1 += l1;
-        d2 += l2;
-      }
-      return;
-    }
-    case InterleaveSide::kEmpty:
-      assert(false && "interleave_expand: kEmpty has nothing to emit");
-      return;
+    d0 += l0;
+    d1 += l1;
+    d2 += l2;
   }
 }
 
@@ -403,7 +286,7 @@ static_assert(sizeof(PackedRef) == 32, "PackedRef must stay one third of a "
                                        "typical cache line");
 
 /// Packs a descriptor into the 32-byte storage form, appending a
-/// kInterleave block's compacted, classified streams to `side`. Throws if
+/// kInterleave block's compacted streams to `side`. Throws if
 /// instr_per_ref does not fit its 29-bit field, or if an interleave
 /// block's streams total kMaxInterleaveRefs lines or more — summed in
 /// uint64, so a `count` that wrapped in RefBlock::interleave is caught
@@ -450,16 +333,6 @@ inline PackedRef pack_ref(const RefBlock& b,
       if (total >= kMaxInterleaveRefs) {
         throw std::invalid_argument(
             "interleave block has 2^31 or more references");
-      }
-      if (s.num_streams == 0) {
-        s.kind = InterleaveSide::kEmpty;
-      } else if (s.num_streams == 1) {
-        s.kind = InterleaveSide::kSingle;
-      } else if (s.num_streams == 2) {
-        s.kind = s.lines[0] == s.lines[1] ? InterleaveSide::kAlt2
-                                          : InterleaveSide::kPair;
-      } else {
-        s.kind = InterleaveSide::kTriple;
       }
       p.count = b.count;
       p.a = side->size();

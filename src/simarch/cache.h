@@ -27,12 +27,14 @@
 //             MRU-first with the invalid ways on the tail). A lookup
 //             matches the probed line's fingerprint against the row
 //             eight ways at a time (portable SWAR) and verifies the rare
-//             candidates — a fixed handful of ops regardless of
-//             associativity or LRU depth, where an ordered scan walks
-//             half the set on average. A touch is a masked word
-//             rotation, and the LRU victim (or the free way) for an
-//             install is read off the order tail, so installs write in
-//             place and move no tags.
+//             candidates — one word op per eight ways regardless of LRU
+//             depth, where an ordered scan walks half the set on average.
+//             A touch rotates the order words up to the way's position,
+//             and the LRU victim (or the free way) for an install is read
+//             off the order tail, so installs write in place and move no
+//             tags. One word loop serves every width up to 255 ways: the
+//             L1s are 4-way and the paper's L2s 16- to 28-way (its Tables
+//             2 and 3).
 //
 // rows_ is a uint64_t array on purpose: byte-typed rows would make
 // every row update a char store, which the compiler must treat as
@@ -235,31 +237,6 @@ class SetAssocCache {
     const uint64_t probe_row = kOnes * fingerprint(line);
     const uint64_t* fp = &rows_[set * 2 * sw_];
     const size_t s = set * ways_;
-    if (ways_ <= 8) {  // one word covers the set (every L1 configuration)
-      uint64_t m = zero_byte_mask(fp[0] ^ probe_row);
-      while (m != 0) {
-        const int w = std::countr_zero(m) / 8;
-        if (meta_[s + w].tag == line) return w;
-        m &= m - 1;
-      }
-      return -1;
-    }
-    if (ways_ <= 16) {  // two words, no loop (every paper L2 is <= 16)
-      uint64_t m = zero_byte_mask(fp[0] ^ probe_row);
-      uint64_t m1 = zero_byte_mask(fp[1] ^ probe_row);
-      if ((m | m1) == 0) return -1;  // the one branch of a clean miss
-      while (m != 0) {
-        const int w = std::countr_zero(m) / 8;
-        if (meta_[s + w].tag == line) return w;
-        m &= m - 1;
-      }
-      while (m1 != 0) {
-        const int w = 8 + std::countr_zero(m1) / 8;
-        if (meta_[s + w].tag == line) return w;
-        m1 &= m1 - 1;
-      }
-      return -1;
-    }
     for (uint32_t j = 0; j < sw_; ++j) {
       uint64_t m = zero_byte_mask(fp[j] ^ probe_row);
       while (m != 0) {
@@ -282,9 +259,8 @@ class SetAssocCache {
     }
   }
 
-  /// Marks way `w` of `set` most-recently-used. The word paths (<= 16
-  /// ways: every paper configuration) load each order word once and do
-  /// the position search and the rotation on the loaded values.
+  /// Marks way `w` of `set` most-recently-used: finds its position in the
+  /// order row and rotates it to the front.
   void make_mru(uint64_t set, int w) {
     if (wide_) {
       stamps_[set * ways_ + w] = ++stamp_;
@@ -292,27 +268,13 @@ class SetAssocCache {
     }
     uint64_t* row = ord_row(set);
     const uint8_t wb = static_cast<uint8_t>(w);
-    const uint64_t v0 = row[0];
-    if (static_cast<uint8_t>(v0) == wb) return;  // already MRU
-    const uint64_t m0 = zero_byte_mask(v0 ^ kOnes * wb);
-    if (ways_ <= 8 || m0 != 0) {  // position within the first word
-      row[0] = rot_word(v0, std::countr_zero(m0) / 8, wb);
-      return;
-    }
-    if (ways_ <= 16) {
-      const uint64_t v1 = row[1];
-      const uint64_t m1 = zero_byte_mask(v1 ^ kOnes * wb);
-      row[0] = (v0 << 8) | wb;
-      row[1] = rot_word(v1, std::countr_zero(m1) / 8,
-                        static_cast<uint8_t>(v0 >> 56));
-      return;
-    }
-    rotate_generic(row, find_order_pos(row, wb), wb);
+    if (static_cast<uint8_t>(row[0]) == wb) return;  // already MRU
+    rotate_row(row, find_order_pos(row, wb), wb);
   }
 
-  /// Generic multi-word MRU rotation for > 16 ways: bytes [0..p] become
-  /// [w, byte0..byte(p-1)].
-  static void rotate_generic(uint64_t* row, int p, uint8_t w) {
+  /// Multi-word MRU rotation: bytes [0..p] become [w, byte0..byte(p-1)];
+  /// only the words up to p's are written.
+  static void rotate_row(uint64_t* row, int p, uint8_t w) {
     uint8_t carry = w;
     int j = 0;
     for (; p >= 8; p -= 8, ++j) {
@@ -361,29 +323,16 @@ class SetAssocCache {
       uint64_t* row = ord_row(set);
       int n = static_cast<int>(valid_cnt_[set]);
       // w = order[n] — the LRU victim (full set) or the first free way —
-      // rotated in as MRU. The word paths extract w from the order words
-      // they already hold and rotate in place; ev is read before
-      // meta_[s + w] is overwritten below.
+      // rotated in as MRU; ev is read before meta_[s + w] is overwritten
+      // below.
       const bool evict = n == ways_;
       if (evict) {
         n = ways_ - 1;
       } else {
         valid_cnt_[set] = static_cast<uint32_t>(n + 1);
       }
-      if (n < 8) {
-        const uint64_t v0 = row[0];
-        w = static_cast<int>((v0 >> (n * 8)) & 0xff);
-        row[0] = rot_word(v0, n, static_cast<uint8_t>(w));
-      } else if (n < 16) {
-        const uint64_t v0 = row[0];
-        const uint64_t v1 = row[1];
-        w = static_cast<int>((v1 >> ((n - 8) * 8)) & 0xff);
-        row[0] = (v0 << 8) | static_cast<uint64_t>(w);
-        row[1] = rot_word(v1, n - 8, static_cast<uint8_t>(v0 >> 56));
-      } else {
-        w = ord_byte(row, n);
-        rotate_generic(row, n, static_cast<uint8_t>(w));
-      }
+      w = ord_byte(row, n);
+      rotate_row(row, n, static_cast<uint8_t>(w));
       if (evict) {
         ev.valid = true;
         ev.line = meta_[s + w].tag;

@@ -69,28 +69,19 @@ struct TraceExpander {
           const int64_t stride = b.stride();
           const uint32_t mw =
               b.instr_per_ref() | (b.is_write() ? kBufWrite : 0u);
-          const uint32_t period = b.period();
+          // Reference i is at position i mod period: one division per
+          // batch, then the position wraps by compare. Period 0 (no wrap)
+          // reads as UINT32_MAX, a position no reference index reaches.
+          const uint32_t period = b.period() != 0 ? b.period() : UINT32_MAX;
           uint32_t i = ri;
           const uint32_t end =
               std::min(b.count, i + static_cast<uint32_t>(cap - len));
-          if (period == 0) {
-            for (; i < end; ++i) {
-              const uint64_t addr =
-                  base +
-                  static_cast<uint64_t>(static_cast<int64_t>(i) * stride);
-              buf[len++] = BufOp{addr >> line_shift, mw};
-            }
-          } else {
-            // Wrapped sweep: reference i is at position i mod period; one
-            // division per batch, then the position wraps by compare.
-            uint32_t k = i % period;
-            for (; i < end; ++i) {
-              const uint64_t addr =
-                  base +
-                  static_cast<uint64_t>(static_cast<int64_t>(k) * stride);
-              buf[len++] = BufOp{addr >> line_shift, mw};
-              if (++k == period) k = 0;
-            }
+          uint32_t k = i % period;
+          for (; i < end; ++i) {
+            const uint64_t addr =
+                base + static_cast<uint64_t>(static_cast<int64_t>(k) * stride);
+            buf[len++] = BufOp{addr >> line_shift, mw};
+            if (++k == period) k = 0;
           }
           if (i == b.count) {
             ++bi;

@@ -164,8 +164,11 @@ void lru_stress(uint64_t sets, int ways, uint64_t lines, uint64_t seed) {
 }
 
 TEST(Cache, LruStressAgainstReferenceModel) {
-  lru_stress(4, 4, 64, 11);     // one order word per set
-  lru_stress(2, 20, 64, 12);    // multi-word rotation (> 16 ways)
+  lru_stress(4, 4, 64, 11);     // the L1s: one order word per set
+  lru_stress(4, 8, 96, 14);     // one full order word
+  lru_stress(2, 16, 96, 15);    // two words (the 2-, 4- and 8-core L2s)
+  lru_stress(2, 20, 64, 12);    // a partly used third word (16/32 cores)
+  lru_stress(2, 28, 128, 16);   // Table 3's widest L2 (12 cores)
   lru_stress(1, 300, 400, 13);  // timestamp-LRU path (> 255 ways)
 }
 

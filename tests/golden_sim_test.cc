@@ -5,8 +5,8 @@
 // timestamp-LRU caches, per-op TraceCursor expansion) for a small
 // app x scheduler x configuration matrix. The optimized engine must
 // reproduce every counter byte-for-byte: the restructuring (run buffers,
-// per-core event scan, fingerprint-probed caches, devirtualized scheduler
-// dispatch) is required to change *nothing* about the simulated machine.
+// per-core event scan, fingerprint-probed caches, batched trace expansion)
+// is required to change *nothing* about the simulated machine.
 //
 // If a change legitimately alters simulation semantics (not performance),
 // regenerate the table by printing the same fields from a build at the
@@ -98,8 +98,8 @@ const GoldenCase kGolden[] = {
      26598868, 207480720, 6573, 39320, 78741, 468241, 242534, 1064,
      173826315, 33354015, 21323250, 2145, 382913432, 468241, 586302},
     // 2-stream interleave-heavy generated workload (dnc combine passes
-    // are read_write interleaves): pins the specialized kPair/kAlt2
-    // refill paths. Recorded from the engine at commit f101ea9.
+    // are read_write interleaves): pins the two-stream interleave
+    // schedule. Recorded from the engine at commit f101ea9.
     {"dnc:depth=7,fanout=3,ws=8K,share=0.2,seed=11", "pdf", 4, 0.03125, 0, 0,
      142962435, 21135104, 4373, 1036346, 459724, 1128330, 979259, 0,
      341639459, 3140459, 63227670, 0, 366680773, 1128330, 2624400},
@@ -108,7 +108,7 @@ const GoldenCase kGolden[] = {
      330244924, 1649524, 62236410, 15, 355649570, 1095318, 2624400},
     // 3-stream interleave-heavy: a small task working set forces many
     // parallel merge chunks with uneven x/y/z line counts, pinning the
-    // kTriple path and its fallback. Recorded at commit f101ea9.
+    // three-stream schedule and its fallback. Recorded at commit f101ea9.
     {"mergesort", "pdf", 4, 0.03125, 0, 4096,
      167469911, 438890256, 40701, 421292, 392286, 679924, 341792, 21216,
      204869927, 892727, 30651480, 0, 651073219, 679924, 1493502},

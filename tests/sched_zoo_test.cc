@@ -136,10 +136,12 @@ TEST(AffZoo, StealHalfParamApplies) {
   auto* ws = dynamic_cast<WsScheduler*>(s.get());
   ASSERT_NE(ws, nullptr);
   s->reset(dag, ctx(2));
-  const TaskId ready[] = {1, 2, 3, 4};
+  const TaskId ready[] = {1, 2, 3, 4, 5};
   s->enqueue_ready(0, ready);
-  EXPECT_EQ(s->acquire(1), 4u);  // bottom; ceil(4/2)=2 moved in total
-  EXPECT_EQ(ws->deque_size(1), 1u);
+  // An odd deque tells the rounding apart: ceil(5/2)=3 tasks leave, the
+  // bottom one returned and two moved to the thief (floor would move one).
+  EXPECT_EQ(s->acquire(1), 5u);
+  EXPECT_EQ(ws->deque_size(1), 2u);
   EXPECT_EQ(ws->deque_size(0), 2u);
 }
 
